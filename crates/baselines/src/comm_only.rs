@@ -31,6 +31,8 @@ impl CommOnlyAllocator {
     ///
     /// Returns [`CoreError`] if the inner Subproblem-2 solver fails or the scenario rejects
     /// the allocation.
+    /// Returns [`CoreError::InfeasibleDeadline`] if the allocation's total completion time
+    /// exceeds `total_deadline_s` by more than `feasibility_tol` (relative).
     pub fn allocate(
         &self,
         scenario: &Scenario,
@@ -110,7 +112,8 @@ impl CommOnlyAllocator {
         allocation.bandwidths_hz.copy_from_slice(&sp2.solution().bandwidths_hz);
         allocation.frequencies_hz.copy_from_slice(frequencies_hz);
         allocation.project_feasible(scenario);
-        scenario.cost_summary(allocation).map_err(CoreError::from)
+        let summary = scenario.cost_summary(allocation).map_err(CoreError::from)?;
+        crate::check_deadline(summary, total_deadline_s, self.config.feasibility_tol)
     }
 }
 
@@ -122,15 +125,29 @@ mod tests {
     #[test]
     fn allocation_is_feasible_and_roughly_meets_deadline() {
         let s = ScenarioBuilder::paper_default().with_devices(10).build(41).unwrap();
-        let alloc = CommOnlyAllocator::new(SolverConfig::fast());
+        let config = SolverConfig::fast();
+        let alloc = CommOnlyAllocator::new(config);
         let deadline = 120.0;
         let r = alloc.allocate(&s, deadline).unwrap();
         assert!(r.allocation.is_feasible(&s, 1e-5));
         assert!(
-            r.total_time_s() <= deadline * 1.1,
+            r.total_time_s() <= deadline * (1.0 + config.feasibility_tol),
             "time {} vs deadline {deadline}",
             r.total_time_s()
         );
+    }
+
+    #[test]
+    fn unreachable_deadline_is_reported_not_clamped() {
+        let s = ScenarioBuilder::paper_default().with_devices(10).build(41).unwrap();
+        let err = CommOnlyAllocator::new(SolverConfig::fast()).allocate(&s, 5.0).unwrap_err();
+        match err {
+            CoreError::InfeasibleDeadline { requested_s, achievable_s } => {
+                assert_eq!(requested_s, 5.0);
+                assert!(achievable_s > 5.0, "achievable {achievable_s}");
+            }
+            other => panic!("expected InfeasibleDeadline, got {other:?}"),
+        }
     }
 
     #[test]

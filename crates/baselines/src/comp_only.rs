@@ -26,6 +26,8 @@ impl CompOnlyAllocator {
     /// # Errors
     ///
     /// Returns [`CoreError`] if the scenario rejects the allocation shape.
+    /// Returns [`CoreError::InfeasibleDeadline`] if the allocation's total completion time
+    /// exceeds `total_deadline_s` by more than `feasibility_tol` (relative).
     pub fn allocate(
         &self,
         scenario: &Scenario,
@@ -74,11 +76,11 @@ impl CompOnlyAllocator {
 
         // The cheapest frequencies that still meet the deadline given the fixed uplink times.
         sp1::frequencies_for_deadline_into(scenario, round_deadline, uploads_s, frequencies_hz);
-        let _ = &self.config;
 
         allocation.frequencies_hz.copy_from_slice(frequencies_hz);
         allocation.project_feasible(scenario);
-        scenario.cost_summary(allocation).map_err(CoreError::from)
+        let summary = scenario.cost_summary(allocation).map_err(CoreError::from)?;
+        crate::check_deadline(summary, total_deadline_s, self.config.feasibility_tol)
     }
 }
 
@@ -105,10 +107,22 @@ mod tests {
     #[test]
     fn roughly_meets_deadline_when_feasible() {
         let s = ScenarioBuilder::paper_default().with_devices(8).build(52).unwrap();
-        let alloc = CompOnlyAllocator::new(SolverConfig::fast());
+        let config = SolverConfig::fast();
+        let alloc = CompOnlyAllocator::new(config);
         let deadline = 130.0;
         let r = alloc.allocate(&s, deadline).unwrap();
-        assert!(r.total_time_s() <= deadline * 1.1);
+        assert!(r.total_time_s() <= deadline * (1.0 + config.feasibility_tol));
+    }
+
+    #[test]
+    fn unreachable_deadline_is_reported_not_clamped() {
+        // At f_max the pinned (p, B) still need more than 5 s in total.
+        let s = ScenarioBuilder::paper_default().with_devices(8).build(52).unwrap();
+        let err = CompOnlyAllocator::new(SolverConfig::fast()).allocate(&s, 5.0).unwrap_err();
+        assert!(
+            matches!(err, CoreError::InfeasibleDeadline { requested_s, .. } if requested_s == 5.0),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   fixed up front instead of re-optimized jointly with the bandwidth allocation.
 //!
 //! All baselines return a [`BaselineResult`] so the experiment harness can treat every scheme
-//! uniformly.
+//! uniformly. The three deadline baselines return [`fedopt_core::CoreError::InfeasibleDeadline`]
+//! when their allocation misses the deadline by more than `SolverConfig::feasibility_tol`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,3 +36,25 @@ pub use comp_only::CompOnlyAllocator;
 pub use result::BaselineResult;
 pub use scheme1::Scheme1Allocator;
 pub use seeding::{derive_stream_seed, round_channel_seed, StreamDerivation};
+
+use fedopt_core::CoreError;
+use flsys::CostSummary;
+
+/// Rejects a deadline baseline's allocation whose total completion time overruns
+/// `total_deadline_s` by more than `tol` (relative). The deadline baselines pin part of
+/// the allocation up front, so a tight deadline can leave them with no allocation that
+/// meets it; that is reported as [`CoreError::InfeasibleDeadline`], never as a number.
+pub(crate) fn check_deadline(
+    summary: CostSummary,
+    total_deadline_s: f64,
+    tol: f64,
+) -> Result<CostSummary, CoreError> {
+    if summary.total_time_s <= total_deadline_s * (1.0 + tol) {
+        Ok(summary)
+    } else {
+        Err(CoreError::InfeasibleDeadline {
+            requested_s: total_deadline_s,
+            achievable_s: summary.total_time_s,
+        })
+    }
+}

@@ -41,6 +41,8 @@ impl Scheme1Allocator {
     ///
     /// Returns [`CoreError`] if the inner Subproblem-2 solver fails or the scenario rejects
     /// the allocation.
+    /// Returns [`CoreError::InfeasibleDeadline`] if the allocation's total completion time
+    /// exceeds `total_deadline_s` by more than `feasibility_tol` (relative).
     pub fn allocate(
         &self,
         scenario: &Scenario,
@@ -116,7 +118,8 @@ impl Scheme1Allocator {
         allocation.bandwidths_hz.copy_from_slice(&sp2.solution().bandwidths_hz);
         allocation.frequencies_hz.copy_from_slice(frequencies_hz);
         allocation.project_feasible(scenario);
-        scenario.cost_summary(allocation).map_err(CoreError::from)
+        let summary = scenario.cost_summary(allocation).map_err(CoreError::from)?;
+        crate::check_deadline(summary, total_deadline_s, self.config.feasibility_tol)
     }
 }
 
@@ -133,11 +136,26 @@ mod tests {
     #[test]
     fn allocation_is_feasible_and_roughly_meets_deadline() {
         let s = scenario(61);
-        let alloc = Scheme1Allocator::new(SolverConfig::fast());
+        let config = SolverConfig::fast();
+        let alloc = Scheme1Allocator::new(config);
         let deadline = 100.0;
         let r = alloc.allocate(&s, deadline).unwrap();
         assert!(r.allocation.is_feasible(&s, 1e-5));
-        assert!(r.total_time_s() <= deadline * 1.1, "time {} vs {deadline}", r.total_time_s());
+        assert!(
+            r.total_time_s() <= deadline * (1.0 + config.feasibility_tol),
+            "time {} vs {deadline}",
+            r.total_time_s()
+        );
+    }
+
+    #[test]
+    fn unreachable_deadline_is_reported_not_clamped() {
+        let s = scenario(61);
+        let err = Scheme1Allocator::new(SolverConfig::fast()).allocate(&s, 5.0).unwrap_err();
+        assert!(
+            matches!(err, CoreError::InfeasibleDeadline { requested_s, .. } if requested_s == 5.0),
+            "{err:?}"
+        );
     }
 
     #[test]

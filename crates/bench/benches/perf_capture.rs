@@ -5,11 +5,11 @@
 //! devices, sharded-fleet sweep rows (1/2/4 worker subprocesses on the fig2 100-draw
 //! grid, plus a cold-vs-cached re-run over the content-addressed shard cache), the
 //! adaptive-vs-fixed warm μ-bracket eval counts, and the streaming reducer's
-//! accumulator footprint, then writes the per-run `BENCH_PR7.capture.json` at the
-//! workspace root (gitignored; CI uploads it as an artifact so the perf trajectory is
-//! recorded per commit). The curated, committed before/after snapshots live separately
-//! in `BENCH_PR3.json` / `BENCH_PR4.json` / `BENCH_PR6.json` / `BENCH_PR7.json` — this
-//! bench never touches them.
+//! accumulator footprint, then writes the per-run capture to
+//! `target/bench-capture/perf_capture.json` (CI uploads it as an artifact so the perf
+//! trajectory is recorded per commit). The curated, committed before/after snapshots live
+//! separately in `BENCH_PR3.json` / `BENCH_PR4.json` / `BENCH_PR6.json` /
+//! `BENCH_PR7.json` — this bench never touches them.
 //!
 //! Run with `cargo bench -p fedopt-bench --bench perf_capture` (build the release
 //! `fedopt` binary first so the fleet rows can spawn real worker subprocesses; without
@@ -17,7 +17,6 @@
 //!
 //! The fleet rows honor `FEDOPT_BIN` as an explicit path to the coordinator binary.
 
-use experiments::fig2::{run_with_engine, Fig2Config};
 use experiments::presets::{self, Variant};
 use experiments::shard::{
     run_fleet, FleetOptions, InProcessRunner, ShardCache, ShardRunner, SubprocessRunner,
@@ -43,8 +42,10 @@ fn best_of<R>(runs: usize, mut f: impl FnMut() -> R) -> f64 {
 }
 
 fn main() {
-    let cfg = Fig2Config::quick();
-    let grid = cfg.grid();
+    let spec = presets::fig2(Variant::Quick);
+    let grid = spec.grid().unwrap();
+    let solver = spec.solver.resolve();
+    let run = |engine: &SweepEngine| spec.run_with_engine(engine).unwrap();
     let cells = grid.num_cells();
     let (points, arms) = (grid.points.len(), grid.arms.len());
 
@@ -56,10 +57,10 @@ fn main() {
         SweepEngine::single_thread().with_warm_start(false).with_superlinear_mu(false);
     let cold_engine = SweepEngine::single_thread().with_warm_start(false);
     let warm_engine = SweepEngine::single_thread().with_warm_start(true);
-    run_with_engine(&cfg, &cold_engine).unwrap(); // warm-up (page cache, lazy allocs)
-    let legacy_secs = best_of(3, || run_with_engine(&cfg, &legacy_engine).unwrap());
-    let cold_secs = best_of(3, || run_with_engine(&cfg, &cold_engine).unwrap());
-    let warm_secs = best_of(3, || run_with_engine(&cfg, &warm_engine).unwrap());
+    run(&cold_engine); // warm-up (page cache, lazy allocs)
+    let legacy_secs = best_of(3, || run(&legacy_engine));
+    let cold_secs = best_of(3, || run(&cold_engine));
+    let warm_secs = best_of(3, || run(&warm_engine));
     let cold_cells_per_sec = cells as f64 / cold_secs;
     let warm_cells_per_sec = cells as f64 / warm_secs;
 
@@ -71,8 +72,9 @@ fn main() {
 
     // --- Steady-state allocations per cell (same contract as tests/alloc_free.rs),
     // measured on the warm path — the stricter case, since it carries state.
-    let scenario = ScenarioBuilder::paper_default().with_devices(cfg.devices).build(11).unwrap();
-    let optimizer = JointOptimizer::new(cfg.solver.with_warm_start(true));
+    let devices = spec.scenario.devices.expect("fig 2 pins the device count");
+    let scenario = ScenarioBuilder::paper_default().with_devices(devices).build(11).unwrap();
+    let optimizer = JointOptimizer::new(solver.with_warm_start(true));
     let mut ws = SolverWorkspace::new();
     optimizer.solve_summary_with(&scenario, Weights::balanced(), &mut ws).unwrap(); // warm-up
     let before = thread_allocation_count();
@@ -87,11 +89,10 @@ fn main() {
     let r_min: Vec<f64> = scenario.devices.iter().map(|d| d.upload_bits / 0.05).collect();
     let start_alloc = flsys::Allocation::equal_split_max(&scenario);
     let mut scratch = sp2::Sp2Scratch::new();
-    let solver_cfg = cfg.solver;
     let sp2_secs = {
         let mut once = || {
             scratch.stage_start(&start_alloc.powers_w, &start_alloc.bandwidths_hz);
-            sp2::solve_in(&scenario, Weights::balanced(), &r_min, &solver_cfg, &mut scratch)
+            sp2::solve_in(&scenario, Weights::balanced(), &r_min, &solver, &mut scratch)
                 .unwrap()
                 .comm_energy_per_round_j
         };
@@ -158,7 +159,7 @@ fn main() {
     // draws/point, direct vs 1/2/4 worker subprocesses (workers pinned to 1 engine
     // thread each so the rows measure fleet fan-out, not intra-worker threading), plus
     // a cold-vs-cached re-run over the content-addressed shard cache.
-    let mut fleet_spec = presets::spec(2, Variant::Quick).unwrap();
+    let mut fleet_spec = spec.clone();
     fleet_spec.override_seed_count(100);
     fleet_spec.engine.threads = Some(1);
     let runner = locate_fedopt();
@@ -257,10 +258,8 @@ fn main() {
     );
     print!("{json}");
 
-    // Workspace root (bench crate lives at crates/bench).
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR7.capture.json");
-    std::fs::write(out, &json).expect("write BENCH_PR7.capture.json");
-    eprintln!("wrote {out}");
+    let out = fedopt_bench::write_capture("perf_capture.json", &json);
+    eprintln!("wrote {}", out.display());
 
     assert_eq!(allocs_per_cell, 0.0, "steady-state cells must not allocate");
     assert!(

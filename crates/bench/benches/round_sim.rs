@@ -12,9 +12,8 @@
 //!   --preset rounds-quick` workload.
 //!
 //! After the criterion groups run, the per-policy cells/sec rows (a cell = one policy ×
-//! round × seed evaluation) are written to `BENCH_PR10.capture.json` at the workspace
-//! root (gitignored; CI uploads it as an artifact so the perf trajectory is recorded per
-//! commit).
+//! round × seed evaluation) are written to `target/bench-capture/round_sim.json` (CI
+//! uploads it as an artifact so the perf trajectory is recorded per commit).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use experiments::presets;
@@ -98,10 +97,8 @@ fn capture(_c: &mut Criterion) {
         cells(&spec),
     );
     print!("{json}");
-    // Workspace root (the bench crate lives at crates/bench).
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR10.capture.json");
-    std::fs::write(out, &json).expect("write BENCH_PR10.capture.json");
-    eprintln!("wrote {out}");
+    let out = fedopt_bench::write_capture("round_sim.json", &json);
+    eprintln!("wrote {}", out.display());
 
     // The non-wall-clock shape checks: re-solving every round costs solver work the
     // selection policies never spend, so their cells must be strictly cheaper.

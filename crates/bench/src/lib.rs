@@ -4,15 +4,17 @@
 //! `cargo bench -p fedopt-bench` (or a single harness, e.g.
 //! `cargo bench -p fedopt-bench --bench engine_scaling`).
 //!
-//! The library itself hosts one thing: [`CountingAllocator`], the instrumented global
+//! The library itself hosts two things: [`CountingAllocator`], the instrumented global
 //! allocator behind the zero-allocation proof (`tests/alloc_free.rs`) and the
-//! `perf_capture` bench that records `BENCH_PR3.json`.
+//! `perf_capture` bench, and [`write_capture`], where the `perf_capture` and `round_sim`
+//! benches write their machine-readable captures (`target/bench-capture/`).
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::path::PathBuf;
 
 std::thread_local! {
     /// Per-thread allocation count. Thread-local (const-initialized, so reading it never
@@ -72,4 +74,18 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// [`CountingAllocator`]). Monotone; measure a region by differencing.
 pub fn thread_allocation_count() -> u64 {
     THREAD_ALLOCATIONS.with(Cell::get)
+}
+
+/// Writes a bench's machine-readable capture to `target/bench-capture/<name>` under the
+/// workspace root, creating the directory, and returns the path written.
+///
+/// # Panics
+///
+/// Panics if the directory or the file cannot be written.
+pub fn write_capture(name: &str, json: &str) -> PathBuf {
+    let dir = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/bench-capture"));
+    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+    let out = dir.join(name);
+    std::fs::write(&out, json).unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
+    out
 }

@@ -9,7 +9,7 @@
 use crate::engine::{Arm, CellContext, CellOutput};
 use baselines::{BenchmarkAllocator, CommOnlyAllocator, CompOnlyAllocator, Scheme1Allocator};
 use fedopt_core::{CoreError, JointOptimizer, SolverConfig};
-use flsys::{Scenario, ScenarioBuilder, Weights};
+use flsys::{CostSummary, Scenario, ScenarioBuilder, Weights};
 
 /// Where a deadline-constrained arm reads its deadline from.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -168,6 +168,16 @@ impl Arm for BenchmarkArm {
     }
 }
 
+/// A deadline baseline's outcome as a cell: a missed deadline is an infeasible cell
+/// (`Ok(None)`), as for [`DeadlineProposedArm`].
+fn deadline_cell(summary: Result<CostSummary, CoreError>) -> Result<Option<CellOutput>, CoreError> {
+    match summary {
+        Ok(s) => Ok(Some(CellOutput::new(s.total_energy_j, s.total_time_s))),
+        Err(CoreError::InfeasibleDeadline { .. }) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
 /// Communication-only optimization under the sweep point's deadline (Figure 7).
 #[derive(Debug, Clone)]
 pub struct CommOnlyArm {
@@ -192,8 +202,7 @@ impl Arm for CommOnlyArm {
         ctx: &mut CellContext<'_>,
     ) -> Result<Option<CellOutput>, CoreError> {
         let allocator = CommOnlyAllocator::new(ctx.solver_config(&self.solver));
-        let summary = allocator.allocate_summary_with(scenario, ctx.x, ctx.workspace)?;
-        Ok(Some(CellOutput::new(summary.total_energy_j, summary.total_time_s)))
+        deadline_cell(allocator.allocate_summary_with(scenario, ctx.x, ctx.workspace))
     }
 }
 
@@ -221,8 +230,7 @@ impl Arm for CompOnlyArm {
         ctx: &mut CellContext<'_>,
     ) -> Result<Option<CellOutput>, CoreError> {
         let allocator = CompOnlyAllocator::new(ctx.solver_config(&self.solver));
-        let summary = allocator.allocate_summary_with(scenario, ctx.x, ctx.workspace)?;
-        Ok(Some(CellOutput::new(summary.total_energy_j, summary.total_time_s)))
+        deadline_cell(allocator.allocate_summary_with(scenario, ctx.x, ctx.workspace))
     }
 }
 
@@ -251,8 +259,7 @@ impl Arm for Scheme1Arm {
         ctx: &mut CellContext<'_>,
     ) -> Result<Option<CellOutput>, CoreError> {
         let allocator = Scheme1Allocator::new(ctx.solver_config(&self.solver));
-        let summary = allocator.allocate_summary_with(scenario, self.deadline_s, ctx.workspace)?;
-        Ok(Some(CellOutput::new(summary.total_energy_j, summary.total_time_s)))
+        deadline_cell(allocator.allocate_summary_with(scenario, self.deadline_s, ctx.workspace))
     }
 }
 

@@ -16,9 +16,8 @@
 //! `points × seeds`. Arms that specialise their builder via [`Arm::prepare`] (Figures 5 and
 //! 6 sweep per-arm device/round counts) are grouped by *identical prepared builder*, so
 //! only genuinely distinct scenarios are built. [`SweepResult::counters`] reports scenarios
-//! built vs cells evaluated; [`SweepEngine::with_scenario_sharing`] can disable the sharing
-//! (one build per cell, the historical behaviour) — a regression test asserts both paths
-//! are bit-identical.
+//! built vs cells evaluated; a regression test asserts that sharing is bit-identical to
+//! evaluating every arm in a grid of its own.
 //!
 //! Each worker thread owns one [`SolverWorkspace`] for its whole share of the grid and
 //! threads it through [`CellContext::workspace`], so the solver hot path reuses one set of
@@ -254,9 +253,10 @@ impl Aggregate {
     /// Reduces the per-seed outputs of one (point, arm), in seed order.
     ///
     /// Defined as "push every sample into an [`AggregateAccumulator`] in seed order", so
-    /// this materializing reduction and the streaming reduction are the *same* fold — one
-    /// fed from a slice, one fed sample by sample — and therefore bit-identical by
-    /// construction, regardless of which threads produced the samples.
+    /// this slice reduction ([`CellMatrix::into_sweep_result`]) and the engine's streaming
+    /// reduction are the *same* fold — one fed from a slice, one fed sample by sample —
+    /// and therefore bit-identical by construction, regardless of which threads produced
+    /// the samples.
     pub fn from_samples(samples: &[Option<CellOutput>]) -> Self {
         let mut acc = AggregateAccumulator::new();
         for sample in samples {
@@ -271,9 +271,9 @@ impl Aggregate {
 ///
 /// Means are running sums (`Σx / n`, folded left to right — the historical summation
 /// order), standard deviations use Welford's online update. The fold is a pure function of
-/// the sample sequence, so any reduction that feeds samples in seed order — the
-/// materializing [`Aggregate::from_samples`] or the engine's streaming chunk merge —
-/// produces bit-identical aggregates.
+/// the sample sequence, so any reduction that feeds samples in seed order — the slice
+/// reduction [`Aggregate::from_samples`] or the engine's streaming chunk merge — produces
+/// bit-identical aggregates.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AggregateAccumulator {
     attempts: usize,
@@ -461,8 +461,6 @@ pub fn warm_start_env() -> Option<bool> {
 #[derive(Debug, Clone, Copy)]
 pub struct SweepEngine {
     threads: NonZeroUsize,
-    share_scenarios: bool,
-    streaming: bool,
     seed_chunk: NonZeroUsize,
     warm_start: bool,
     superlinear_mu: bool,
@@ -487,8 +485,6 @@ impl SweepEngine {
         let warm_start = warm_start_env().unwrap_or(true);
         Self {
             threads,
-            share_scenarios: true,
-            streaming: true,
             seed_chunk: NonZeroUsize::new(DEFAULT_SEED_CHUNK).expect("nonzero"),
             warm_start,
             superlinear_mu: true,
@@ -507,21 +503,6 @@ impl SweepEngine {
     /// A sequential engine — useful as the reference in determinism tests.
     pub fn single_thread() -> Self {
         Self::with_threads(1)
-    }
-
-    /// Enables or disables sharing one scenario build across the arms of a (point, seed)
-    /// cell-group (default: enabled). Disabling rebuilds the scenario for every cell — the
-    /// historical behaviour, kept selectable as the reference for the bit-identity
-    /// regression test and the `scenario_cache` bench.
-    #[must_use]
-    pub fn with_scenario_sharing(mut self, share: bool) -> Self {
-        self.share_scenarios = share;
-        self
-    }
-
-    /// Whether this engine shares scenario builds across the arms of a cell-group.
-    pub fn shares_scenarios(&self) -> bool {
-        self.share_scenarios
     }
 
     /// Enables or disables the warm-start continuation for every arm of the sweep
@@ -577,22 +558,6 @@ impl SweepEngine {
         self.adaptive_mu_bracket
     }
 
-    /// Enables or disables the streaming reduction (default: enabled). With streaming the
-    /// engine holds one [`AggregateAccumulator`] per (point, arm) — `O(points × arms)`
-    /// memory — plus a bounded window of in-flight seed chunks, instead of materialising
-    /// every cell output (`O(points × arms × seeds)`). Disabling restores the materializing
-    /// path, kept selectable as the reference for the bit-identity regression test.
-    #[must_use]
-    pub fn with_streaming_reduction(mut self, streaming: bool) -> Self {
-        self.streaming = streaming;
-        self
-    }
-
-    /// Whether this engine reduces cell outputs with the streaming accumulators.
-    pub fn streams_reduction(&self) -> bool {
-        self.streaming
-    }
-
     /// Sets the *maximum* number of seeds per streaming chunk (clamped to at least 1;
     /// default [`DEFAULT_SEED_CHUNK`]). A chunk of one point's seeds is the streaming unit
     /// of parallel work; larger chunks amortise reduction overhead on 10⁴-draw grids,
@@ -615,7 +580,7 @@ impl SweepEngine {
     /// The effective seeds-per-chunk for a grid: the configured cap, shrunk (never grown)
     /// until the grid yields at least ~4 work items per worker, so streaming never
     /// schedules coarser than the worker pool can use. At the floor of 1 seed per chunk
-    /// the granularity equals the materializing path's per-(point, seed) cell-groups.
+    /// the granularity equals [`SweepEngine::run_cells`]' per-(point, seed) cell-groups.
     fn effective_seed_chunk(&self, n_points: usize, n_seeds: usize) -> usize {
         let mut chunk = self.seed_chunk.get();
         if n_points == 0 || n_seeds == 0 {
@@ -636,12 +601,16 @@ impl SweepEngine {
 
     /// Evaluates every cell of the grid and reduces the per-(point, arm) aggregates.
     ///
-    /// The unit of parallel work is a (point, seed) cell-group (or, with the default
-    /// streaming reduction, a chunk of one point's seeds): the scenario is built once per
-    /// set of arms whose prepared builders compare equal, and every arm of the set
-    /// evaluates against the shared build by reference. Samples are reduced per
-    /// (point, arm) *in seed order* whatever the thread count or reduction mode, so the
-    /// result is bit-identical across all of them.
+    /// The unit of parallel work is a chunk of one point's seeds, each seed a (point, seed)
+    /// cell-group: the scenario is built once per set of arms whose prepared builders
+    /// compare equal, and every arm of the set evaluates against the shared build by
+    /// reference. Samples are folded per (point, arm) *in seed order* by a bounded-window
+    /// streaming reducer, so the result is bit-identical across thread counts and chunk
+    /// sizes, and to the materializing reduction [`SweepEngine::run_cells`] followed by
+    /// [`CellMatrix::into_sweep_result`].
+    /// Peak memory is `O(points × arms)` accumulators plus `O(window × arms × seed_chunk)`
+    /// pending cell outputs (window ≈ 4 × workers) — independent of the seed count, which
+    /// is what makes `--seeds 10000` grids feasible.
     ///
     /// # Errors
     ///
@@ -654,108 +623,7 @@ impl SweepEngine {
     /// more, scheduling decides which failing cells were reached first. Infeasible cells
     /// (`Ok(None)`) are not errors.
     pub fn run(&self, grid: &SweepGrid) -> Result<SweepResult, CoreError> {
-        let (builders, groups) = self.prepare_groups(grid);
-        if self.streaming {
-            self.run_streaming(grid, &builders, &groups)
-        } else {
-            self.run_materializing(grid, &builders, &groups)
-        }
-    }
-
-    /// Evaluates every cell of the grid and returns the **raw** per-cell outputs in
-    /// `(point, arm, seed)` slot order, without reducing them to aggregates.
-    ///
-    /// This is the worker half of the sharded fleet path ([`crate::shard`]): a shard runs
-    /// `run_cells` on its seed sub-range and ships the samples, and the coordinator
-    /// replays them through [`AggregateAccumulator::merge_samples`] in shard order —
-    /// reproducing the single-process [`SweepEngine::run`] reduction bit for bit. The
-    /// evaluation itself is the materializing scheduler, so every determinism property of
-    /// [`SweepEngine::run`] (bit-identical across thread counts, seed-order reduction
-    /// keys) carries over unchanged; memory is `O(points × arms × seeds)` samples, which
-    /// is exactly the payload a shard has to ship anyway.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SweepEngine::run`].
-    pub fn run_cells(&self, grid: &SweepGrid) -> Result<CellMatrix, CoreError> {
-        self.run_cells_with_progress(grid, None)
-    }
-
-    /// [`SweepEngine::run_cells`] with a live progress observer: `progress` (when given)
-    /// is incremented once per evaluated cell, from whichever worker thread evaluated it.
-    /// The fleet worker's heartbeat thread reads it to report cells-completed progress on
-    /// stderr while the sweep is still running — the counter is observational only and
-    /// never influences scheduling or results.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SweepEngine::run`].
-    pub fn run_cells_with_progress(
-        &self,
-        grid: &SweepGrid,
-        progress: Option<&AtomicUsize>,
-    ) -> Result<CellMatrix, CoreError> {
-        let (builders, groups) = self.prepare_groups(grid);
-        let (samples, counters) = self.materialize_cells(grid, &builders, &groups, progress)?;
-        Ok(CellMatrix {
-            xs: grid.points.iter().map(|p| p.x).collect(),
-            arm_names: grid.arms.iter().map(|a| a.name()).collect(),
-            n_seeds: grid.seeds.len(),
-            samples,
-            counters,
-        })
-    }
-
-    /// Specialises the grid's builders once per (point, arm) and groups each point's arms
-    /// by identical prepared builder — the shared preamble of every evaluation path. Every
-    /// group shares one scenario build per seed; with sharing disabled, every arm is its
-    /// own group.
-    #[allow(clippy::type_complexity)]
-    fn prepare_groups(
-        &self,
-        grid: &SweepGrid,
-    ) -> (Vec<Vec<ScenarioBuilder>>, Vec<Vec<Vec<usize>>>) {
-        // Builders are pure data; specialise them once per (point, arm) up front.
-        let builders: Vec<Vec<ScenarioBuilder>> = grid
-            .points
-            .iter()
-            .map(|p| grid.arms.iter().map(|a| a.prepare(&p.builder)).collect())
-            .collect();
-
-        let groups: Vec<Vec<Vec<usize>>> = builders
-            .iter()
-            .map(|point_builders| {
-                let mut point_groups: Vec<Vec<usize>> = Vec::new();
-                for (arm_idx, builder) in point_builders.iter().enumerate() {
-                    if self.share_scenarios {
-                        if let Some(group) = point_groups
-                            .iter_mut()
-                            .find(|group| &point_builders[group[0]] == builder)
-                        {
-                            group.push(arm_idx);
-                            continue;
-                        }
-                    }
-                    point_groups.push(vec![arm_idx]);
-                }
-                point_groups
-            })
-            .collect();
-        (builders, groups)
-    }
-
-    /// The streaming evaluation-and-reduction path (the default): work items are chunks of
-    /// one point's seeds, folded into per-(point, arm) [`AggregateAccumulator`]s in strict
-    /// item order by a bounded-window [`StreamReducer`]. Peak memory is
-    /// `O(points × arms)` accumulators plus `O(window × arms × seed_chunk)` pending cell
-    /// outputs (window ≈ 4 × workers) — independent of the seed count, which is what makes
-    /// `--seeds 10000` grids feasible.
-    fn run_streaming(
-        &self,
-        grid: &SweepGrid,
-        builders: &[Vec<ScenarioBuilder>],
-        groups: &[Vec<Vec<usize>>],
-    ) -> Result<SweepResult, CoreError> {
+        let (builders, groups) = prepare_groups(grid);
         let n_points = grid.points.len();
         let n_arms = grid.arms.len();
         let n_seeds = grid.seeds.len();
@@ -772,8 +640,8 @@ impl SweepEngine {
         let reducer = StreamReducer::new(n_points, n_arms, n_chunks, chunk, n_seeds, window);
         let evaluator = GroupEvaluator {
             grid,
-            builders,
-            groups,
+            builders: &builders,
+            groups: &groups,
             failed: &failed,
             scenarios_built: &scenarios_built,
             cells_evaluated: &cells_evaluated,
@@ -784,8 +652,8 @@ impl SweepEngine {
             progress: None,
         };
 
-        // The (point, arm, seed) slot index of a cell — the same error-ordering key the
-        // materializing path uses.
+        // The (point, arm, seed) slot index of a cell — the same error-ordering key
+        // `run_cells` uses.
         let slot_of = |point: usize, arm: usize, seed_idx: usize| -> usize {
             (point * n_arms + arm) * n_seeds + seed_idx
         };
@@ -866,50 +734,43 @@ impl SweepEngine {
         })
     }
 
-    /// The historical materialize-then-reduce path (`with_streaming_reduction(false)`):
-    /// every cell output is slotted into a `(point, arm, seed)`-indexed vector before the
-    /// per-(point, arm) reduction. `O(points × arms × seeds)` memory; kept as the
-    /// regression reference for the streaming path.
-    fn run_materializing(
-        &self,
-        grid: &SweepGrid,
-        builders: &[Vec<ScenarioBuilder>],
-        groups: &[Vec<Vec<usize>>],
-    ) -> Result<SweepResult, CoreError> {
-        let n_points = grid.points.len();
-        let n_arms = grid.arms.len();
-        let n_seeds = grid.seeds.len();
-        let (samples, counters) = self.materialize_cells(grid, builders, groups, None)?;
-
-        let aggregates: Vec<Vec<Aggregate>> = (0..n_points)
-            .map(|p| {
-                (0..n_arms)
-                    .map(|a| {
-                        let base = (p * n_arms + a) * n_seeds;
-                        Aggregate::from_samples(&samples[base..base + n_seeds])
-                    })
-                    .collect()
-            })
-            .collect();
-
-        Ok(SweepResult {
-            xs: grid.points.iter().map(|p| p.x).collect(),
-            arm_names: grid.arms.iter().map(|a| a.name()).collect(),
-            aggregates,
-            counters,
-        })
+    /// Evaluates every cell of the grid and returns the **raw** per-cell outputs in
+    /// `(point, arm, seed)` slot order, without reducing them to aggregates.
+    ///
+    /// This is the worker half of the sharded fleet path ([`crate::shard`]): a shard runs
+    /// `run_cells` on its seed sub-range and ships the samples, and the coordinator
+    /// replays them through [`AggregateAccumulator::merge_samples`] in shard order —
+    /// reproducing the single-process [`SweepEngine::run`] reduction bit for bit. Work
+    /// items are single (point, seed) cell-groups evaluated by the same group evaluator as
+    /// [`SweepEngine::run`], so every determinism property of [`SweepEngine::run`]
+    /// (bit-identical across thread counts, seed-order reduction keys) carries over
+    /// unchanged; memory is `O(points × arms × seeds)` samples, which is exactly the
+    /// payload a shard has to ship anyway. It is also the reference the streaming
+    /// reduction of [`SweepEngine::run`] is tested against, via
+    /// [`CellMatrix::into_sweep_result`].
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`SweepEngine::run`].
+    pub fn run_cells(&self, grid: &SweepGrid) -> Result<CellMatrix, CoreError> {
+        self.run_cells_with_progress(grid, None)
     }
 
-    /// Evaluates every cell and materialises the raw outputs in `(point, arm, seed)` slot
-    /// order, together with the run's counters — the shared body of
-    /// [`SweepEngine::run_cells`] and the materializing reduction.
-    fn materialize_cells(
+    /// [`SweepEngine::run_cells`] with a live progress observer: `progress` (when given)
+    /// is incremented once per evaluated cell, from whichever worker thread evaluated it.
+    /// The fleet worker's heartbeat thread reads it to report cells-completed progress on
+    /// stderr while the sweep is still running — the counter is observational only and
+    /// never influences scheduling or results.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`SweepEngine::run`].
+    pub fn run_cells_with_progress(
         &self,
         grid: &SweepGrid,
-        builders: &[Vec<ScenarioBuilder>],
-        groups: &[Vec<Vec<usize>>],
         progress: Option<&AtomicUsize>,
-    ) -> Result<(Vec<Option<CellOutput>>, SweepCounters), CoreError> {
+    ) -> Result<CellMatrix, CoreError> {
+        let (builders, groups) = prepare_groups(grid);
         let n_points = grid.points.len();
         let n_arms = grid.arms.len();
         let n_seeds = grid.seeds.len();
@@ -927,8 +788,8 @@ impl SweepEngine {
         let solver_totals = Mutex::new(SolveCounters::default());
         let evaluator = GroupEvaluator {
             grid,
-            builders,
-            groups,
+            builders: &builders,
+            groups: &groups,
             failed: &failed,
             scenarios_built: &scenarios_built,
             cells_evaluated: &cells_evaluated,
@@ -990,13 +851,46 @@ impl SweepEngine {
         debug_assert_eq!(skipped, 0, "skips must imply a surfaced failure");
         debug_assert_eq!(samples.len(), grid.num_cells());
 
-        let counters = SweepCounters {
-            scenarios_built: scenarios_built.into_inner(),
-            cells_evaluated: cells_evaluated.into_inner(),
-            solver: solver_totals.into_inner().expect("counter totals poisoned"),
-        };
-        Ok((samples, counters))
+        Ok(CellMatrix {
+            xs: grid.points.iter().map(|p| p.x).collect(),
+            arm_names: grid.arms.iter().map(|a| a.name()).collect(),
+            n_seeds,
+            samples,
+            counters: SweepCounters {
+                scenarios_built: scenarios_built.into_inner(),
+                cells_evaluated: cells_evaluated.into_inner(),
+                solver: solver_totals.into_inner().expect("counter totals poisoned"),
+            },
+        })
     }
+}
+
+/// Specialises the grid's builders once per (point, arm) and groups each point's arms by
+/// identical prepared builder — the shared preamble of [`SweepEngine::run`] and
+/// [`SweepEngine::run_cells`]. Every group shares one scenario build per seed.
+#[allow(clippy::type_complexity)]
+fn prepare_groups(grid: &SweepGrid) -> (Vec<Vec<ScenarioBuilder>>, Vec<Vec<Vec<usize>>>) {
+    // Builders are pure data; specialise them once per (point, arm) up front.
+    let builders: Vec<Vec<ScenarioBuilder>> = grid
+        .points
+        .iter()
+        .map(|p| grid.arms.iter().map(|a| a.prepare(&p.builder)).collect())
+        .collect();
+
+    let groups: Vec<Vec<Vec<usize>>> = builders
+        .iter()
+        .map(|point_builders| {
+            let mut point_groups: Vec<Vec<usize>> = Vec::new();
+            for (arm_idx, builder) in point_builders.iter().enumerate() {
+                match point_groups.iter_mut().find(|group| &point_builders[group[0]] == builder) {
+                    Some(group) => group.push(arm_idx),
+                    None => point_groups.push(vec![arm_idx]),
+                }
+            }
+            point_groups
+        })
+        .collect();
+    (builders, groups)
 }
 
 /// The raw output of [`SweepEngine::run_cells`]: every cell's `Option<CellOutput>` in
@@ -1035,11 +929,11 @@ impl CellMatrix {
     }
 }
 
-/// The shared per-sweep evaluation context of both reduction paths: the grid, the
-/// prepared builders and their arm-groups, the abort flag, and the work counters. Keeping
-/// the build-group-evaluate body (and its failed-flag boundaries and error attribution)
-/// in exactly one place is what makes the materializing path a meaningful regression
-/// reference for the streaming path.
+/// The shared per-sweep evaluation context of [`SweepEngine::run`] and
+/// [`SweepEngine::run_cells`]: the grid, the prepared builders and their arm-groups, the
+/// abort flag, and the work counters. Keeping the build-group-evaluate body (and its
+/// failed-flag boundaries and error attribution) in exactly one place is what makes
+/// `run_cells` a meaningful regression reference for the streaming reduction.
 struct GroupEvaluator<'a> {
     grid: &'a SweepGrid,
     builders: &'a [Vec<ScenarioBuilder>],
@@ -1173,8 +1067,9 @@ fn streaming_window(workers: usize) -> usize {
 /// the per-(point, arm) [`AggregateAccumulator`]s. [`StreamReducer::claim`] blocks while
 /// the claimant would run more than `window` items ahead of the fold frontier, which is
 /// what bounds the ring: at most `window` chunks of cell outputs ever exist at once,
-/// however many seeds the grid has. The fold order makes the result bit-identical to the
-/// materializing reduction (and independent of worker count) by construction.
+/// however many seeds the grid has. The fold order makes the result bit-identical to
+/// [`Aggregate::from_samples`] over the seed-ordered samples (and independent of worker
+/// count) by construction.
 struct StreamReducer {
     state: Mutex<ReduceState>,
     progressed: Condvar,
@@ -1580,14 +1475,19 @@ mod tests {
         assert_eq!(shared.counters.scenarios_built, points * seeds * distinct_builders);
         assert_eq!(shared.counters.cells_evaluated, points * seeds * arms);
 
-        let unshared = engine.with_scenario_sharing(false).run(&grid()).unwrap();
-        assert_eq!(unshared.counters.scenarios_built, points * seeds * arms);
-        assert_eq!(unshared.counters.cells_evaluated, points * seeds * arms);
-
+        // The unshared reference: every arm in a grid of its own, one build per cell.
         // Sharing must never change the numbers — only how often scenarios are rebuilt.
-        assert_eq!(shared.aggregates, unshared.aggregates);
-        assert_eq!(shared.xs, unshared.xs);
-        assert_eq!(shared.arm_names, unshared.arm_names);
+        for arm_idx in 0..arms {
+            let mut alone = grid();
+            let arm = alone.arms.swap_remove(arm_idx);
+            alone.arms = vec![arm];
+            let unshared = engine.run(&alone).unwrap();
+            assert_eq!(unshared.counters.scenarios_built, points * seeds);
+            assert_eq!(unshared.arm_names[0], shared.arm_names[arm_idx]);
+            for (shared_row, unshared_row) in shared.aggregates.iter().zip(&unshared.aggregates) {
+                assert_eq!(shared_row[arm_idx], unshared_row[0], "arm {arm_idx}");
+            }
+        }
     }
 
     #[test]
@@ -1689,17 +1589,14 @@ mod tests {
             grid.arm(ProposedArm::new(Weights::balanced(), SolverConfig::fast()))
         };
         let materialized =
-            SweepEngine::with_threads(2).with_streaming_reduction(false).run(&grid()).unwrap();
+            SweepEngine::with_threads(2).run_cells(&grid()).unwrap().into_sweep_result();
         // Chunk sizes that divide, straddle and exceed the seed count, at 1 and 3 workers —
         // every combination must reproduce the materializing reduction bit for bit,
         // standard deviations included.
         for threads in [1usize, 3] {
             for chunk in [1usize, 2, 3, 7, 64] {
-                let streamed = SweepEngine::with_threads(threads)
-                    .with_streaming_reduction(true)
-                    .with_seed_chunk(chunk)
-                    .run(&grid())
-                    .unwrap();
+                let streamed =
+                    SweepEngine::with_threads(threads).with_seed_chunk(chunk).run(&grid()).unwrap();
                 assert_eq!(
                     streamed, materialized,
                     "streaming diverged at {threads} thread(s), chunk {chunk}"

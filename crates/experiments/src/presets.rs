@@ -3,10 +3,11 @@
 //!
 //! Each figure has a [`Variant::Quick`] preset (small device counts and seed grids,
 //! suitable for CI and benches) and a [`Variant::Paper`] preset (the paper's 50-device,
-//! 100-draws-per-point protocol). The specs compile — via [`ExperimentSpec::grid`] — to
-//! exactly the [`crate::engine::SweepGrid`]s the historical `fig2`…`fig8` config structs
-//! built by hand, and the `spec_identity` integration test pins that equivalence arm by
-//! arm and bit by bit.
+//! 100-draws-per-point protocol). These presets are the only description of the figures:
+//! `fedopt run --fig N`, the shard fleet, the benches and the tests all compile them via
+//! [`ExperimentSpec::grid`]. Every quick preset's cold, single-thread run document is
+//! pinned byte for byte by a golden file (`tests/golden/figN_quick.json`, checked by the
+//! `cli_golden` integration test and the CI `cli-smoke` job).
 //!
 //! The **paper** presets pin the warm-start continuation on
 //! (`engine.warm_start = Some(true)`): a full-scale figure run is exactly the repeated
@@ -31,10 +32,9 @@ use flsys::Weights;
 /// Which preset scale of a figure to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
-    /// Small CI-friendly preset (the historical `FigNConfig::quick`).
+    /// Small CI-friendly preset: a few devices, one or two seeds, three or four points.
     Quick,
-    /// The paper's full protocol (the historical `FigNConfig::paper`), 100 draws per
-    /// point, warm start on by default.
+    /// The paper's full protocol, 100 draws per point, warm start on by default.
     Paper,
 }
 
@@ -95,8 +95,8 @@ fn base(fig: u8, variant: Variant, description: &str) -> ExperimentSpec {
     spec.description = format!("Fig. {fig} ({} preset): {description}", variant.suffix());
     spec.solver = if variant.is_paper() { SolverSpec::default() } else { SolverSpec::fast() };
     if variant.is_paper() {
-        // ROADMAP item: full-scale paper runs default the warm-start continuation on.
-        // Quick presets stay unset → the cold bit-exact reference path.
+        // Full-scale paper runs default the warm-start continuation on. Quick presets
+        // leave it unset, so the engine default (and `FEDOPT_WARM_START`) applies.
         spec.engine.warm_start = Some(true);
     }
     spec

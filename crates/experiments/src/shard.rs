@@ -334,8 +334,9 @@ pub fn split(spec: &ExperimentSpec, n: usize) -> Result<Vec<ExperimentSpec>, Sha
 /// and the shard spec itself **normalized to what actually determines the samples**:
 /// `id`, `description` and `reports` are cleared (renaming a sweep or adding a report
 /// must not re-key its finished shards) and the engine block keeps only the *effective*
-/// warm-start switch — thread count, scenario sharing, streaming mode and seed chunking
-/// are scheduling decisions, proven result-invariant by the engine's determinism tests.
+/// warm-start switch — thread count, seed chunking and the fleet's retry and timeout
+/// settings are scheduling decisions, proven result-invariant by the engine's determinism
+/// tests.
 /// The warm-start switch *is* result-affecting (warm solves converge along a different
 /// trajectory), so the key pins it to the value the run will actually use:
 /// the [`crate::engine::WARM_START_ENV`] environment override when set, else the spec's
@@ -1521,7 +1522,6 @@ mod tests {
         renamed.description = "something else".to_string();
         renamed.reports.clear();
         renamed.engine.threads = Some(7);
-        renamed.engine.streaming = Some(false);
         renamed.engine.seed_chunk = Some(3);
         assert_eq!(cache_key(&renamed), base);
 

@@ -5,18 +5,18 @@
 //! onto [`ScenarioBuilder`], a closed set of **arms** (every scheme the figures compare),
 //! a **seed policy** (explicit list or a `start..start+count` range, with the
 //! stream-seed derivation pinned by [`baselines::StreamDerivation`] name), **solver**
-//! settings (preset plus tolerance overrides), **engine** options (threads, chunking,
-//! streaming, warm start), and the **reports** to render from the evaluated grid.
+//! settings (preset plus tolerance overrides), **engine** options (threads, seed chunking,
+//! warm start, fleet retries and timeouts), and the **reports** to render from the
+//! evaluated grid.
 //!
 //! A spec is *data*: it serializes to JSON ([`ExperimentSpec::to_json_string`]) and back
 //! ([`ExperimentSpec::from_json_str`]) losslessly, so a sweep description can be received
 //! over a wire, cached, diffed, replayed, and sharded (a shard is a spec plus a seed
-//! range). Running one compiles it onto the existing imperative machinery — the spec's
-//! [`ExperimentSpec::grid`] produces exactly the [`SweepGrid`] the historical figure
-//! modules built by hand, so the engine's scenario sharing, allocation-free hot path,
-//! streaming reduction and warm-start continuation are reused unchanged, and
-//! [`SweepEngine::run_spec`] is bit-identical to the legacy path (asserted by the
-//! `spec_identity` integration test for every figure).
+//! range). Running one compiles it — via [`ExperimentSpec::grid`] — onto the imperative
+//! [`SweepGrid`] machinery, so the engine's scenario sharing, allocation-free hot path,
+//! streaming reduction and warm-start continuation apply to every spec. The seven figure
+//! presets' cold run documents are pinned byte for byte by the `cli_golden` integration
+//! test.
 //!
 //! ```rust
 //! use experiments::presets;
@@ -1144,11 +1144,6 @@ pub struct EngineSpec {
     /// `FEDOPT_WARM_START=0` forces any spec cold), but when the environment is silent
     /// this field decides — the paper presets default it on.
     pub warm_start: Option<bool>,
-    /// Scenario-build sharing across the arms of a cell-group
-    /// ([`SweepEngine::with_scenario_sharing`]).
-    pub scenario_sharing: Option<bool>,
-    /// Streaming reduction ([`SweepEngine::with_streaming_reduction`]).
-    pub streaming: Option<bool>,
     /// Seeds per streaming chunk ([`SweepEngine::with_seed_chunk`]).
     pub seed_chunk: Option<usize>,
     /// Retries per failed fleet shard before the shard counts as failed
@@ -1171,12 +1166,6 @@ impl EngineSpec {
             Some(n) => SweepEngine::with_threads(n),
             None => SweepEngine::new(),
         };
-        if let Some(share) = self.scenario_sharing {
-            engine = engine.with_scenario_sharing(share);
-        }
-        if let Some(streaming) = self.streaming {
-            engine = engine.with_streaming_reduction(streaming);
-        }
         if let Some(chunk) = self.seed_chunk {
             engine = engine.with_seed_chunk(chunk);
         }
@@ -1215,8 +1204,6 @@ impl EngineSpec {
         };
         push("threads", self.threads.map(|v| Json::uint(v as u64)));
         push("warm_start", self.warm_start.map(Json::Bool));
-        push("scenario_sharing", self.scenario_sharing.map(Json::Bool));
-        push("streaming", self.streaming.map(Json::Bool));
         push("seed_chunk", self.seed_chunk.map(|v| Json::uint(v as u64)));
         push("shard_retries", self.shard_retries.map(Json::uint));
         push("shard_timeout_s", self.shard_timeout_s.map(Json::uint));
@@ -1227,21 +1214,11 @@ impl EngineSpec {
         let obj = Obj::new(
             v,
             path,
-            &[
-                "threads",
-                "warm_start",
-                "scenario_sharing",
-                "streaming",
-                "seed_chunk",
-                "shard_retries",
-                "shard_timeout_s",
-            ],
+            &["threads", "warm_start", "seed_chunk", "shard_retries", "shard_timeout_s"],
         )?;
         let spec = Self {
             threads: obj.opt_usize("threads")?,
             warm_start: obj.opt_bool("warm_start")?,
-            scenario_sharing: obj.opt_bool("scenario_sharing")?,
-            streaming: obj.opt_bool("streaming")?,
             seed_chunk: obj.opt_usize("seed_chunk")?,
             shard_retries: obj.opt_u64("shard_retries")?,
             shard_timeout_s: obj.opt_u64("shard_timeout_s")?,
@@ -1925,8 +1902,7 @@ impl ExperimentSpec {
         Ok(())
     }
 
-    /// Compiles the spec into the imperative [`SweepGrid`] the engine evaluates — the
-    /// same grid the historical figure modules built by hand.
+    /// Compiles the spec into the imperative [`SweepGrid`] the engine evaluates.
     ///
     /// # Errors
     ///
@@ -2399,8 +2375,6 @@ mod tests {
         let spec = EngineSpec {
             threads: Some(2),
             warm_start: Some(true),
-            scenario_sharing: Some(false),
-            streaming: Some(false),
             seed_chunk: Some(7),
             shard_retries: Some(3),
             shard_timeout_s: Some(120),
@@ -2409,8 +2383,6 @@ mod tests {
         assert_eq!(parsed, spec);
         let engine = spec.to_engine();
         assert_eq!(engine.threads(), 2);
-        assert!(!engine.shares_scenarios());
-        assert!(!engine.streams_reduction());
         assert_eq!(engine.seed_chunk(), 7);
         // The empty spec serializes to an empty object.
         assert_eq!(EngineSpec::default().to_json(), Json::Obj(vec![]));

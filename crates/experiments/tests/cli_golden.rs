@@ -1,9 +1,10 @@
 //! Golden-file pins of the CLI's machine-readable surfaces:
 //!
-//! * the `fedopt run --fig 2 --seeds 3 --json` document against
-//!   `tests/golden/fig2_quick_seeds3.json` (floats compared **exactly** — sweep output is
-//!   deterministic and the JSON writer is shortest-round-trip, so any byte difference is
-//!   a real behaviour change), mirroring the CI `cli-smoke` job's end-to-end diff;
+//! * the `fedopt run --fig N --json` document of every figure's quick preset against
+//!   `tests/golden/figN_quick.json` (`fig2_quick_seeds3.json` for figure 2, run with
+//!   `--seeds 3`). Floats are compared **exactly** — sweep output is deterministic and the
+//!   JSON writer is shortest-round-trip, so any byte difference is a real behaviour
+//!   change. This mirrors the CI `cli-smoke` job's end-to-end diffs;
 //! * the committed example spec `examples/specs/fig2_quick.json` against what
 //!   `fedopt spec --fig 2` prints today (the README documents that file — it must never
 //!   drift from the preset).
@@ -31,24 +32,41 @@ fn check_golden(actual: &str, path: &Path, regenerate_hint: &str) {
     assert_eq!(actual, golden, "{path:?} is stale; {regenerate_hint}");
 }
 
-/// The exact document the CI smoke job diffs: `fedopt run --fig 2 --seeds 3 --json` on the
-/// cold solver path. The engine is pinned explicitly (single thread, warm start off) so
-/// the pin holds under every CI matrix entry; output is thread-count independent, so the
-/// CLI reproduces it at any `--threads`.
+/// `(figure, seed-count override, golden file)` for every figure preset: the exact
+/// documents the CI smoke job diffs (`fedopt run --fig N --json`, plus `--seeds 3` for
+/// figure 2).
+const FIGURE_GOLDENS: [(u8, Option<u64>, &str); 7] = [
+    (2, Some(3), "fig2_quick_seeds3.json"),
+    (3, None, "fig3_quick.json"),
+    (4, None, "fig4_quick.json"),
+    (5, None, "fig5_quick.json"),
+    (6, None, "fig6_quick.json"),
+    (7, None, "fig7_quick.json"),
+    (8, None, "fig8_quick.json"),
+];
+
+/// Every figure's quick-preset run document on the cold solver path. The engine is pinned
+/// explicitly (single thread, warm start off) so the pins hold under every CI matrix
+/// entry; output is thread-count independent, so the CLI reproduces them at any
+/// `--threads`.
 #[test]
-fn fig2_quick_seeds3_json_document_matches_golden() {
-    let mut spec = presets::spec(2, Variant::Quick).expect("figure 2 exists");
-    spec.override_seed_count(3);
+fn every_figure_quick_json_document_matches_golden() {
     let engine = SweepEngine::single_thread().with_warm_start(false);
-    let run = spec.run_with_engine(&engine).expect("fig2 quick must evaluate");
-    let document = cli::run_document(&spec, &run).to_pretty_string();
-    check_golden(
-        &document,
-        &manifest_dir().join("tests/golden/fig2_quick_seeds3.json"),
-        "regenerate with FEDOPT_BLESS=1 cargo test -p experiments --test cli_golden",
-    );
-    // The same document must also be exactly what the text renderer's JSON mode emits.
-    assert_eq!(cli::render_run(&spec, &run, true), document);
+    for (fig, seeds, file) in FIGURE_GOLDENS {
+        let mut spec = presets::spec(fig, Variant::Quick).expect("figure exists");
+        if let Some(count) = seeds {
+            spec.override_seed_count(count);
+        }
+        let run = spec.run_with_engine(&engine).expect("quick preset must evaluate");
+        let document = cli::run_document(&spec, &run).to_pretty_string();
+        check_golden(
+            &document,
+            &manifest_dir().join("tests/golden").join(file),
+            "regenerate with FEDOPT_BLESS=1 cargo test -p experiments --test cli_golden",
+        );
+        // The same document must also be exactly what the text renderer's JSON mode emits.
+        assert_eq!(cli::render_run(&spec, &run, true), document, "fig{fig}");
+    }
 }
 
 /// The legacy reference pin: the same document on the cold solver path with the

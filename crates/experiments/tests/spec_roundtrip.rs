@@ -6,7 +6,7 @@
 use experiments::presets::{self, Variant};
 use experiments::spec::{
     ArmKind, ArmSpec, AxisKind, AxisSpec, BenchmarkDraw, DeadlineSpec, EngineSpec, ExperimentSpec,
-    Metric, ReportSpec, ScenarioSpec, SeedPolicy, SeedSpec, SolverPreset, SolverSpec,
+    Metric, ReportSpec, ScenarioSpec, SeedPolicy, SeedSpec, SolverPreset, SolverSpec, SpecError,
 };
 use flsys::Weights;
 use proptest::prelude::*;
@@ -23,6 +23,21 @@ fn all_cli_presets_round_trip_losslessly() {
                 .unwrap_or_else(|e| panic!("{} failed to re-parse: {e}\n{text}", spec.id));
             assert_eq!(parsed, spec, "{} ({variant:?}) is not lossless", spec.id);
             assert_eq!(parsed.to_json_string(), text, "{} is not canonical", spec.id);
+        }
+    }
+}
+
+/// The engine's former `streaming` and `scenario_sharing` switches are gone from the
+/// schema: the strict parser rejects either key with an error naming it.
+#[test]
+fn retired_engine_keys_are_rejected_by_name() {
+    let text = presets::fig2(Variant::Quick).to_json_string();
+    assert!(text.contains("\"engine\": {}"), "fig 2 quick carries no engine options");
+    for key in ["streaming", "scenario_sharing"] {
+        let edited = text.replace("\"engine\": {}", &format!("\"engine\": {{\"{key}\": true}}"));
+        match ExperimentSpec::from_json_str(&edited) {
+            Err(SpecError::Invalid { path, .. }) => assert_eq!(path, format!("spec.engine.{key}")),
+            other => panic!("engine.{key} must be rejected, got {other:?}"),
         }
     }
 }
@@ -187,8 +202,6 @@ fn arbitrary_spec(rng: &mut TestRng) -> ExperimentSpec {
     spec.engine = EngineSpec {
         threads: (rng.below(3) == 0).then(|| 1 + rng.below(16) as usize),
         warm_start: (rng.below(3) == 0).then(|| rng.below(2) == 0),
-        scenario_sharing: (rng.below(4) == 0).then(|| rng.below(2) == 0),
-        streaming: (rng.below(4) == 0).then(|| rng.below(2) == 0),
         seed_chunk: (rng.below(4) == 0).then(|| 1 + rng.below(256) as usize),
         shard_retries: (rng.below(4) == 0).then(|| rng.below(5)),
         shard_timeout_s: (rng.below(4) == 0).then(|| 1 + rng.below(600)),

@@ -8,12 +8,11 @@
 //! The engine evaluates `points × arms × seeds` cells but never materialises them: each
 //! worker streams chunks of one point's seeds into `points × arms` constant-size
 //! accumulators (plus a bounded window of in-flight chunks), so `--seeds 10000` costs the
-//! same memory as `--seeds 10`. Output is bit-identical to the materializing reduction and
-//! to a single-threaded run. Drop `--seeds` (or pass a smaller value) for a quicker demo;
+//! same memory as `--seeds 10`. Output is bit-identical to the materializing reduction
+//! (`SweepEngine::run_cells(..).into_sweep_result()`) and to a single-threaded run. Drop `--seeds` (or pass a smaller value) for a quicker demo;
 //! the default reproduces the full 10⁴-draw grid.
 
 use fedopt::experiments::engine::{SweepEngine, SweepGrid};
-use fedopt::experiments::fig2::Fig2Config;
 use fedopt::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -42,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .arm(fedopt::experiments::arms::ProposedArm::new(Weights::new(0.9, 0.1)?, solver))
         .arm(fedopt::experiments::arms::BenchmarkArm::random_frequency());
 
-    let engine = SweepEngine::new(); // streaming reduction is the default
+    let engine = SweepEngine::new();
     let (points, arms) = (grid.points.len(), grid.arms.len());
     println!(
         "sweeping {points} points × {arms} arms × {seeds} draws = {} cells on {} thread(s)",
@@ -76,6 +75,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
     }
-    let _ = Fig2Config::paper(); // see the full eight-figure presets in `experiments`
     Ok(())
 }
