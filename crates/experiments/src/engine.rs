@@ -37,9 +37,8 @@
 //!   construction).
 //! * **Arm stream** — arms with internal randomness (the random benchmark) must not reuse
 //!   the scenario seed, or their draws would be correlated with the channel realisations.
-//!   Each cell carries [`CellContext::stream_seed`], produced by
-//!   [`baselines::derive_stream_seed`] from the base seed (historically `seed ^ 0x9e37_79b9`,
-//!   now defined in exactly one place).
+//!   The benchmark draws from [`baselines::derive_stream_seed`] of the cell's base seed
+//!   (historically `seed ^ 0x9e37_79b9`, now defined in exactly one place).
 //! * **Reduction order** — per-cell outputs are written to slots indexed by
 //!   `(point, arm, seed)` and reduced sequentially in seed order, so floating-point sums are
 //!   bit-identical between a single-threaded and an N-threaded run (verified by a
@@ -77,40 +76,20 @@ impl CellOutput {
     }
 }
 
-/// The coordinates, derived seeds and per-worker scratch of the cell being evaluated.
+/// The coordinates, resolved solver configuration and per-worker scratch of the cell
+/// being evaluated.
 #[derive(Debug)]
 pub struct CellContext<'a> {
     /// The sweep point's x value (e.g. `p_max` in dBm for Figure 2, the deadline in seconds
     /// for Figure 7).
     pub x: f64,
-    /// The base (scenario) seed of this cell.
+    /// The base (scenario) seed of this cell. Arms with internal randomness draw from
+    /// [`baselines::derive_stream_seed`] of it, never from the seed itself.
     pub seed: u64,
-    /// The decorrelated stream seed for arm-internal randomness
-    /// ([`baselines::derive_stream_seed`] of [`Self::seed`]).
-    pub stream_seed: u64,
-    /// Index of the sweep point within [`SweepGrid::points`].
-    pub point_idx: usize,
-    /// Index of the arm within [`SweepGrid::arms`].
-    pub arm_idx: usize,
-    /// Whether this sweep runs with the warm-start continuation
-    /// ([`SweepEngine::with_warm_start`]). Arms must gate their solver configuration
-    /// through [`CellContext::solver_config`] so the engine-level switch wins over
-    /// whatever the arm was constructed with.
-    pub warm_start: bool,
-    /// Whether this sweep runs with the superlinear (Brent) `μ`-root step
-    /// ([`SweepEngine::with_superlinear_mu`]); gated through
-    /// [`CellContext::solver_config`] like [`Self::warm_start`].
-    pub superlinear_mu: bool,
-    /// Whether this sweep carries the adaptive warm `μ`-bracket width across the solves of
-    /// a cell-group ([`SweepEngine::with_adaptive_mu_bracket`]); gated through
-    /// [`CellContext::solver_config`] like [`Self::warm_start`].
-    pub adaptive_mu_bracket: bool,
-    /// Whether the solve may re-open Algorithm 2's outer loop at the workspace's carried
-    /// best allocation (`SolverConfig::outer_continuation`). Always `false` in sweeps —
-    /// every cell must have a trajectory independent of workspace history — and enabled
-    /// per request by the serving loop (`crate::serve`) on a warm-cache hit, where the
-    /// fingerprint guarantees the carried state belongs to the same problem.
-    pub outer_continuation: bool,
+    /// The one solver configuration of the sweep: the grid's [`SweepGrid::solver`] with
+    /// the engine's switches applied by [`SweepEngine::solver_config`]. Arms solve with
+    /// exactly this configuration.
+    pub solver: &'a SolverConfig,
     /// The worker thread's reusable solver workspace. Pure scratch (see
     /// `fedopt_core::workspace` for the contract): arms may hand it to any `*_with` solver
     /// entry point but must not expect state to survive between cells. With warm start
@@ -120,20 +99,11 @@ pub struct CellContext<'a> {
     pub workspace: &'a mut SolverWorkspace,
 }
 
-impl CellContext<'_> {
-    /// The arm's solver configuration with the engine's warm-start switch applied: the
-    /// sweep-level [`SweepEngine::with_warm_start`] decision overrides the config the arm
-    /// was built with, so one engine flag flips the whole grid between the bit-exact cold
-    /// reference path and the warm continuation.
-    pub fn solver_config(&self, base: &SolverConfig) -> SolverConfig {
-        base.with_warm_start(self.warm_start)
-            .with_superlinear_mu(self.superlinear_mu)
-            .with_adaptive_mu_bracket(self.adaptive_mu_bracket)
-            .with_outer_continuation(self.outer_continuation)
-    }
-}
-
 /// One scheme being swept: a column of the resulting figure.
+///
+/// Every scheme of the paper is a [`crate::spec::ArmSpec`], which implements this trait
+/// through the one scheme match [`crate::spec::ArmKind::evaluate`]; the trait stays open
+/// so a grid can also hold wrappers (instrumentation, test arms).
 ///
 /// Implementations must be [`Send`] + [`Sync`]; the engine shares them across worker
 /// threads by reference and must never observe interior mutability across cells (that
@@ -165,10 +135,10 @@ pub trait Arm: Send + Sync {
     ) -> Result<Option<CellOutput>, CoreError>;
 }
 
-/// A boxed arm is an arm — what lets spec-compiled grids mix heterogeneous arms (and
-/// wrap them in [`crate::arms::ConfiguredArm`]) behind one type. Every method delegates,
-/// `prepare` included: dropping the delegation would silently fall back to the default
-/// identity `prepare` and break per-arm builder specialisation.
+/// A boxed arm is an arm — what lets a grid hold spec arms next to wrappers around them
+/// behind one type. Every method delegates, `prepare` included: dropping the delegation
+/// would silently fall back to the default identity `prepare` and break per-arm builder
+/// specialisation.
 impl Arm for Box<dyn Arm> {
     fn name(&self) -> String {
         self.as_ref().name()
@@ -196,7 +166,8 @@ pub struct GridPoint {
     pub builder: ScenarioBuilder,
 }
 
-/// The declarative evaluation grid: points × arms × seeds.
+/// The declarative evaluation grid: points × arms × seeds, solved with one base
+/// [`SolverConfig`].
 pub struct SweepGrid {
     /// The sweep points, in x-axis order.
     pub points: Vec<GridPoint>,
@@ -204,12 +175,28 @@ pub struct SweepGrid {
     pub arms: Vec<Box<dyn Arm>>,
     /// The base scenario seeds averaged over, shared by every (point, arm).
     pub seeds: Vec<u64>,
+    /// The base solver configuration of every cell, before the engine's switches
+    /// ([`SweepEngine::solver_config`]) are applied.
+    pub solver: SolverConfig,
 }
 
 impl SweepGrid {
-    /// Creates an empty grid over the given scenario seeds.
+    /// Creates an empty grid over the given scenario seeds, solved with
+    /// [`SolverConfig::default`].
     pub fn new(seeds: impl Into<Vec<u64>>) -> Self {
-        Self { points: Vec::new(), arms: Vec::new(), seeds: seeds.into() }
+        Self {
+            points: Vec::new(),
+            arms: Vec::new(),
+            seeds: seeds.into(),
+            solver: SolverConfig::default(),
+        }
+    }
+
+    /// Replaces the base solver configuration.
+    #[must_use]
+    pub fn with_solver(mut self, solver: SolverConfig) -> Self {
+        self.solver = solver;
+        self
     }
 
     /// Adds a sweep point.
@@ -513,7 +500,7 @@ impl SweepEngine {
     /// so the output is still bit-identical across thread counts (just not bit-identical to
     /// the cold path: warm solves converge to the same fixed point within the solver
     /// tolerances along a cheaper trajectory). `with_warm_start(false)` is the bit-exact
-    /// cold reference path regardless of the arms' own configs.
+    /// cold reference path regardless of the grid's base config.
     #[must_use]
     pub fn with_warm_start(mut self, warm_start: bool) -> Self {
         self.warm_start = warm_start;
@@ -599,6 +586,17 @@ impl SweepEngine {
         self.threads.get()
     }
 
+    /// `base` with this engine's warm-start, `μ`-root and warm-bracket switches applied —
+    /// the one place they are applied, so one engine flag flips every cell of a sweep (and
+    /// every round of a simulation) whatever the base says. The outer-loop continuation is
+    /// always off: every cell's trajectory must be independent of workspace history.
+    pub fn solver_config(&self, base: &SolverConfig) -> SolverConfig {
+        base.with_warm_start(self.warm_start)
+            .with_superlinear_mu(self.superlinear_mu)
+            .with_adaptive_mu_bracket(self.adaptive_mu_bracket)
+            .with_outer_continuation(false)
+    }
+
     /// Evaluates every cell of the grid and reduces the per-(point, arm) aggregates.
     ///
     /// The unit of parallel work is a chunk of one point's seeds, each seed a (point, seed)
@@ -645,9 +643,7 @@ impl SweepEngine {
             failed: &failed,
             scenarios_built: &scenarios_built,
             cells_evaluated: &cells_evaluated,
-            warm_start: self.warm_start,
-            superlinear_mu: self.superlinear_mu,
-            adaptive_mu_bracket: self.adaptive_mu_bracket,
+            solver: self.solver_config(&grid.solver),
             solver_totals: &solver_totals,
             progress: None,
         };
@@ -793,9 +789,7 @@ impl SweepEngine {
             failed: &failed,
             scenarios_built: &scenarios_built,
             cells_evaluated: &cells_evaluated,
-            warm_start: self.warm_start,
-            superlinear_mu: self.superlinear_mu,
-            adaptive_mu_bracket: self.adaptive_mu_bracket,
+            solver: self.solver_config(&grid.solver),
             solver_totals: &solver_totals,
             progress,
         };
@@ -941,13 +935,9 @@ struct GroupEvaluator<'a> {
     failed: &'a AtomicBool,
     scenarios_built: &'a AtomicUsize,
     cells_evaluated: &'a AtomicUsize,
-    /// Engine-level warm-start switch, handed to every cell via [`CellContext`].
-    warm_start: bool,
-    /// Engine-level superlinear `μ`-root switch, handed to every cell via [`CellContext`].
-    superlinear_mu: bool,
-    /// Engine-level adaptive warm `μ`-bracket switch, handed to every cell via
-    /// [`CellContext`].
-    adaptive_mu_bracket: bool,
+    /// The resolved solver configuration ([`SweepEngine::solver_config`]), handed to every
+    /// cell via [`CellContext::solver`].
+    solver: SolverConfig,
     /// Per-sweep solver-iteration totals (folded once per cell-group; integer sums, so
     /// thread count and fold order cannot change the result).
     solver_totals: &'a Mutex<SolveCounters>,
@@ -1026,13 +1016,7 @@ impl GroupEvaluator<'_> {
                 let mut ctx = CellContext {
                     x: self.grid.points[point_idx].x,
                     seed,
-                    stream_seed: baselines::derive_stream_seed(seed),
-                    point_idx,
-                    arm_idx,
-                    warm_start: self.warm_start,
-                    superlinear_mu: self.superlinear_mu,
-                    adaptive_mu_bracket: self.adaptive_mu_bracket,
-                    outer_continuation: false,
+                    solver: &self.solver,
                     workspace: &mut *ws,
                 };
                 self.cells_evaluated.fetch_add(1, Ordering::Relaxed);
@@ -1301,7 +1285,7 @@ mod tests_support {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    /// Test arm that errors on one seed of the first point and counts evaluations.
+    /// Test arm that errors on one seed of the first point (x = 0) and counts evaluations.
     pub struct FailingArm {
         pub evaluated: Arc<AtomicUsize>,
         pub fail_seed: u64,
@@ -1318,7 +1302,7 @@ mod tests_support {
             ctx: &mut CellContext<'_>,
         ) -> Result<Option<CellOutput>, CoreError> {
             self.evaluated.fetch_add(1, Ordering::Relaxed);
-            if ctx.point_idx == 0 && ctx.seed == self.fail_seed {
+            if ctx.x == 0.0 && ctx.seed == self.fail_seed {
                 return Err(CoreError::SolverFailure("injected".to_string()));
             }
             Ok(Some(CellOutput::new(1.0, 1.0)))
@@ -1329,9 +1313,12 @@ mod tests_support {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arms::ProposedArm;
-    use fedopt_core::SolverConfig;
+    use crate::spec::{ArmKind, ArmSpec, ScenarioSpec};
     use flsys::Weights;
+
+    fn proposed(w1: f64, w2: f64) -> ArmSpec {
+        ArmSpec::new(ArmKind::Proposed { weights: Weights::new(w1, w2).unwrap() })
+    }
 
     #[test]
     fn par_map_matches_sequential_for_any_thread_count() {
@@ -1414,7 +1401,7 @@ mod tests {
                 _scenario: &Scenario,
                 ctx: &mut CellContext<'_>,
             ) -> Result<Option<CellOutput>, CoreError> {
-                assert!(!(ctx.point_idx == 1 && ctx.seed == 2), "injected panic");
+                assert!(!(ctx.x == 1.0 && ctx.seed == 2), "injected panic");
                 Ok(Some(CellOutput::new(1.0, 1.0)))
             }
         }
@@ -1444,26 +1431,21 @@ mod tests {
 
     #[test]
     fn scenario_builds_are_shared_per_prepared_builder_and_match_unshared() {
-        use crate::arms::ConfiguredArm;
-
-        let solver = SolverConfig::fast();
         let grid = || {
-            let mut grid = SweepGrid::new(vec![1u64, 2, 3]);
+            let mut grid = SweepGrid::new(vec![1u64, 2, 3]).with_solver(SolverConfig::fast());
             for x in [6.0, 12.0] {
                 grid = grid.point(
                     x,
                     flsys::ScenarioBuilder::paper_default().with_devices(5).with_p_max_dbm(x),
                 );
             }
-            // Two arms with the default prepare share one build; the configured arm's
+            // Two arms without a scenario patch share one build; the patched arm's
             // distinct builder gets its own.
-            grid.arm(ProposedArm::new(Weights::balanced(), solver))
-                .arm(ProposedArm::new(Weights::new(0.9, 0.1).unwrap(), solver))
-                .arm(
-                    ConfiguredArm::new(ProposedArm::new(Weights::balanced(), solver))
-                        .named("N = 3")
-                        .with_builder(|b| b.with_devices(3)),
-                )
+            grid.arm(proposed(0.5, 0.5)).arm(proposed(0.9, 0.1)).arm(
+                proposed(0.5, 0.5)
+                    .labeled("N = 3")
+                    .with_scenario(ScenarioSpec { devices: Some(3), ..ScenarioSpec::default() }),
+            )
         };
         let (points, seeds, arms, distinct_builders) = (2, 3, 3, 2);
 
@@ -1579,14 +1561,15 @@ mod tests {
     #[test]
     fn streaming_and_materializing_reductions_are_bit_identical() {
         let grid = || {
-            let mut grid = SweepGrid::new((0..7).collect::<Vec<u64>>());
+            let mut grid =
+                SweepGrid::new((0..7).collect::<Vec<u64>>()).with_solver(SolverConfig::fast());
             for x in [6.0, 12.0] {
                 grid = grid.point(
                     x,
                     flsys::ScenarioBuilder::paper_default().with_devices(4).with_p_max_dbm(x),
                 );
             }
-            grid.arm(ProposedArm::new(Weights::balanced(), SolverConfig::fast()))
+            grid.arm(proposed(0.5, 0.5))
         };
         let materialized =
             SweepEngine::with_threads(2).run_cells(&grid()).unwrap().into_sweep_result();
@@ -1609,6 +1592,7 @@ mod tests {
     fn engine_is_deterministic_across_thread_counts() {
         let grid = |seeds: &[u64]| {
             SweepGrid::new(seeds)
+                .with_solver(SolverConfig::fast())
                 .point(
                     6.0,
                     flsys::ScenarioBuilder::paper_default().with_devices(5).with_p_max_dbm(6.0),
@@ -1617,7 +1601,7 @@ mod tests {
                     12.0,
                     flsys::ScenarioBuilder::paper_default().with_devices(5).with_p_max_dbm(12.0),
                 )
-                .arm(ProposedArm::new(Weights::balanced(), SolverConfig::fast()))
+                .arm(proposed(0.5, 0.5))
         };
         let single = SweepEngine::single_thread().run(&grid(&[1, 2, 3])).unwrap();
         let multi = SweepEngine::with_threads(4).run(&grid(&[1, 2, 3])).unwrap();

@@ -11,10 +11,15 @@
 //! byte-stable serialization), a sweep can be received over a wire, cached, diffed,
 //! replayed, and sharded — a shard is a spec plus a seed range.
 //!
+//! Every scheme the figures compare is one [`spec::ArmKind`] variant, and the spec's
+//! [`spec::ArmSpec`] is itself the arm: [`arms`] holds the one scheme match,
+//! [`spec::ArmKind::evaluate`], which sweep cells and `fedopt serve` requests both call
+//! with one resolved `SolverConfig`.
+//!
 //! All sweeps evaluate through the same substrate: a declarative [`engine::SweepGrid`]
-//! (sweep points × [`arms`] × scenario seeds) evaluated by the parallel
-//! [`engine::SweepEngine`] across threads in chunks of (point, seed) cell-groups — one
-//! scenario build shared by every arm of the group, one reusable
+//! (sweep points × arms × scenario seeds, plus the base solver configuration) evaluated
+//! by the parallel [`engine::SweepEngine`] across threads in chunks of (point, seed)
+//! cell-groups — one scenario build shared by every arm of the group, one reusable
 //! [`SolverWorkspace`](fedopt_core::SolverWorkspace) per worker thread, per-(point, arm)
 //! results folded by the streaming reduction — with deterministic, thread-count-independent
 //! output (see the [`engine`] module docs for the cell-group architecture and the seeding

@@ -162,13 +162,7 @@ pub fn simulate_with_engine(
         .rounds
         .as_ref()
         .ok_or_else(|| SpecError::invalid("rounds", "this spec has no round-simulation section"))?;
-    let solver = spec
-        .solver
-        .resolve()
-        .with_warm_start(engine.warm_starts())
-        .with_superlinear_mu(engine.superlinear_mu())
-        .with_adaptive_mu_bracket(engine.adaptive_mu_bracket())
-        .with_outer_continuation(false);
+    let solver = engine.solver_config(&spec.solver.resolve());
     let seeds = spec.seeds.values();
     let template = spec
         .axis

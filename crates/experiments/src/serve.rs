@@ -44,11 +44,10 @@
 //! [`SolverWorkspace::solve_deadline`]: fedopt_core::SolverWorkspace::solve_deadline
 //! [`SolverWorkspace::quarantine_reset`]: fedopt_core::SolverWorkspace::quarantine_reset
 
-use crate::engine::{warm_start_env, CellContext, CellOutput};
+use crate::engine::{warm_start_env, Arm, CellOutput};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::json::{fnv1a_64, Json, MAX_EXACT_INT};
 use crate::spec::{ArmKind, ArmSpec, Obj, ScenarioSpec, SolverSpec, SpecError};
-use baselines::derive_stream_seed;
 use fedopt_core::{CoreError, SolverWorkspace};
 use flsys::{ScenarioBuilder, Weights};
 use std::collections::BTreeMap;
@@ -204,13 +203,7 @@ impl RequestSpec {
                 ));
             }
         }
-        let needs_axis_deadline = matches!(
-            arm.kind,
-            ArmKind::CommOnly
-                | ArmKind::CompOnly
-                | ArmKind::DeadlineProposed { deadline: crate::spec::DeadlineSpec::Axis }
-        );
-        if needs_axis_deadline && deadline_s.is_none() {
+        if arm.kind.reads_axis_deadline() && deadline_s.is_none() {
             return Err(SpecError::invalid(
                 path,
                 "this arm kind optimizes under a completion-time deadline; \
@@ -934,10 +927,10 @@ fn counters_json(c: &fedopt_core::SolveCounters) -> Json {
     Json::Obj(members)
 }
 
-/// Evaluates one request against a workspace: compiles the arm, builds the scenario,
-/// and solves under the optional wall-clock budget. The returned counters are the
-/// *delta* of this evaluation — captured before any quarantine can zero the
-/// workspace's cumulative counters ([`fedopt_core::SolveCounters::since`] underflows
+/// Evaluates one request against a workspace: builds the arm's scenario and solves it
+/// through [`ArmKind::evaluate`] under the optional wall-clock budget. The returned
+/// counters are the *delta* of this evaluation — captured before any quarantine can zero
+/// the workspace's cumulative counters ([`fedopt_core::SolveCounters::since`] underflows
 /// after a reset).
 fn evaluate_request(
     req: &RequestSpec,
@@ -946,28 +939,18 @@ fn evaluate_request(
     ws: &mut SolverWorkspace,
     budget: Option<Instant>,
 ) -> Result<SolveOutput, (CoreError, fedopt_core::SolveCounters)> {
-    let config = req.solver.resolve();
-    let arm = req.arm.instantiate(config);
+    let solver =
+        req.solver.resolve().with_warm_start(warm_enabled).with_outer_continuation(continue_warm);
     let template = req.scenario.apply(ScenarioBuilder::paper_default());
-    let builder = arm.prepare(&template);
-    let scenario = builder
+    let scenario = req
+        .arm
+        .prepare(&template)
         .build(req.seed)
         .map_err(|e| (CoreError::Model(e), fedopt_core::SolveCounters::default()))?;
     let before = ws.counters;
     ws.solve_deadline = budget;
-    let mut ctx = CellContext {
-        x: req.deadline_s.unwrap_or(0.0),
-        seed: req.seed,
-        stream_seed: derive_stream_seed(req.seed),
-        point_idx: 0,
-        arm_idx: 0,
-        warm_start: warm_enabled,
-        superlinear_mu: config.superlinear_mu,
-        adaptive_mu_bracket: config.adaptive_mu_bracket,
-        outer_continuation: continue_warm,
-        workspace: ws,
-    };
-    let result = arm.evaluate(&scenario, &mut ctx);
+    let x = req.deadline_s.unwrap_or(0.0);
+    let result = req.arm.kind.evaluate(&scenario, x, req.seed, &solver, ws);
     ws.solve_deadline = None;
     let counters = ws.counters.since(&before);
     let cell = result.map_err(|e| (e, counters))?;

@@ -46,11 +46,7 @@
 //! serialization is deterministic and byte-stable — see `examples/specs/` for a committed
 //! example and the README for the annotated schema.
 
-use crate::arms::{
-    BenchmarkArm, CommOnlyArm, CompOnlyArm, ConfiguredArm, DeadlineProposedArm, DeadlineSource,
-    ProposedArm, Scheme1Arm,
-};
-use crate::engine::{Arm, SweepEngine, SweepGrid, SweepResult};
+use crate::engine::{SweepEngine, SweepGrid, SweepResult};
 use crate::json::{Json, JsonError, MAX_EXACT_INT};
 use crate::report::FigureReport;
 use baselines::StreamDerivation;
@@ -526,8 +522,7 @@ impl BenchmarkDraw {
     }
 }
 
-/// Where a deadline-constrained arm reads its deadline from (serializable twin of
-/// [`DeadlineSource`]).
+/// Where a deadline-constrained arm reads its deadline from.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum DeadlineSpec {
     /// The sweep point's x value is the deadline (requires a
@@ -535,15 +530,6 @@ pub enum DeadlineSpec {
     Axis,
     /// A fixed deadline in seconds (one series per value, as in Figure 8).
     FixedS(f64),
-}
-
-impl DeadlineSpec {
-    fn to_source(self) -> DeadlineSource {
-        match self {
-            Self::Axis => DeadlineSource::FromX,
-            Self::FixedS(t) => DeadlineSource::Fixed(t),
-        }
-    }
 }
 
 /// The closed set of schemes an arm can run — every comparison of the paper's evaluation.
@@ -620,37 +606,6 @@ impl ArmSpec {
     pub fn with_scenario(mut self, scenario: ScenarioSpec) -> Self {
         self.scenario = Some(scenario);
         self
-    }
-
-    /// Compiles the arm description into a live [`Arm`].
-    pub(crate) fn instantiate(&self, solver: SolverConfig) -> Box<dyn Arm> {
-        let base: Box<dyn Arm> = match &self.kind {
-            ArmKind::Proposed { weights } => Box::new(ProposedArm::new(*weights, solver)),
-            ArmKind::DeadlineProposed { deadline } => {
-                Box::new(DeadlineProposedArm::new(deadline.to_source(), solver))
-            }
-            ArmKind::Benchmark { draw: BenchmarkDraw::Frequency } => {
-                Box::new(BenchmarkArm::random_frequency())
-            }
-            ArmKind::Benchmark { draw: BenchmarkDraw::Power } => {
-                Box::new(BenchmarkArm::random_power())
-            }
-            ArmKind::CommOnly => Box::new(CommOnlyArm::new(solver)),
-            ArmKind::CompOnly => Box::new(CompOnlyArm::new(solver)),
-            ArmKind::Scheme1 { deadline_s } => Box::new(Scheme1Arm::new(*deadline_s, solver)),
-        };
-        if self.label.is_none() && self.scenario.is_none() {
-            return base;
-        }
-        let mut configured = ConfiguredArm::new(base);
-        if let Some(label) = &self.label {
-            configured = configured.named(label.clone());
-        }
-        if let Some(patch) = &self.scenario {
-            let patch = patch.clone();
-            configured = configured.with_builder(move |b| patch.apply(b));
-        }
-        Box::new(configured)
     }
 
     pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
@@ -1878,13 +1833,7 @@ impl ExperimentSpec {
         }
         for (i, arm) in self.arms.iter().enumerate() {
             arm.validate(&format!("arms[{i}]"))?;
-            let needs_axis_deadline = matches!(
-                arm.kind,
-                ArmKind::DeadlineProposed { deadline: DeadlineSpec::Axis }
-                    | ArmKind::CommOnly
-                    | ArmKind::CompOnly
-            );
-            if needs_axis_deadline && self.axis.kind != AxisKind::DeadlineS {
+            if arm.kind.reads_axis_deadline() && self.axis.kind != AxisKind::DeadlineS {
                 return Err(SpecError::invalid(
                     format!("arms[{i}]"),
                     format!(
@@ -1915,14 +1864,13 @@ impl ExperimentSpec {
                 "this spec has no sweep arms; round-simulation specs run with `fedopt sim`",
             ));
         }
-        let solver = self.solver.resolve();
         let template = self.scenario.apply(ScenarioBuilder::paper_default());
-        let mut grid = SweepGrid::new(self.seeds.values());
+        let mut grid = SweepGrid::new(self.seeds.values()).with_solver(self.solver.resolve());
         for &x in &self.axis.values {
             grid = grid.point(x, self.axis.kind.apply(template.clone(), x));
         }
         for arm in &self.arms {
-            grid.arms.push(arm.instantiate(solver));
+            grid = grid.arm(arm.clone());
         }
         Ok(grid)
     }
@@ -2421,23 +2369,13 @@ mod tests {
         let spec = tiny_spec();
         let grid = spec.grid().unwrap();
         assert_eq!(grid.seeds, vec![1, 2]);
+        assert_eq!(grid.solver, SolverConfig::fast());
         assert_eq!(grid.points.len(), 2);
         assert_eq!(grid.arms.len(), 2);
         assert_eq!(grid.arms[0].name(), "proposed w1=0.5,w2=0.5");
         assert_eq!(grid.arms[1].name(), "benchmark");
         let expected = ScenarioBuilder::paper_default().with_devices(5).with_p_max_dbm(12.0);
         assert_eq!(grid.points[1].builder, expected);
-    }
-
-    #[test]
-    fn labeled_and_patched_arms_compile_to_configured_arms() {
-        let arm = ArmSpec::new(ArmKind::Proposed { weights: Weights::balanced() })
-            .labeled("N = 3")
-            .with_scenario(ScenarioSpec { devices: Some(3), ..ScenarioSpec::default() });
-        let live = arm.instantiate(SolverConfig::fast());
-        assert_eq!(live.name(), "N = 3");
-        let base = ScenarioBuilder::paper_default();
-        assert_eq!(live.prepare(&base), base.clone().with_devices(3));
     }
 
     #[test]

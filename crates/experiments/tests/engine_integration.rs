@@ -7,8 +7,9 @@ use experiments::engine::{Arm, CellContext, CellOutput, SweepGrid, SweepResult};
 use experiments::presets::{self, Variant};
 use experiments::spec::ArmKind;
 use experiments::{ExperimentSpec, FigureReport, SweepEngine};
-use fedopt_core::{CoreError, JointOptimizer};
+use fedopt_core::{CoreError, JointOptimizer, SolverConfig};
 use flsys::{Scenario, ScenarioBuilder, Weights};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 fn fig2_quick() -> ExperimentSpec {
@@ -214,6 +215,48 @@ fn scenario_builds_scale_with_points_times_seeds_not_arms() {
     // The counters are part of the deterministic output: a sequential run agrees.
     let sequential = SweepEngine::single_thread().run(&grid).unwrap();
     assert_eq!(sequential.counters, result.counters);
+}
+
+/// Every cell of both engine run paths solves with one configuration: the grid's base
+/// with the engine's switches applied by `SweepEngine::solver_config`, outer-loop
+/// continuation forced off.
+#[test]
+fn every_cell_solves_with_the_engine_resolved_grid_solver() {
+    struct SolverRecorder(Arc<Mutex<Vec<SolverConfig>>>);
+    impl Arm for SolverRecorder {
+        fn name(&self) -> String {
+            "recorder".to_string()
+        }
+        fn evaluate(
+            &self,
+            _scenario: &Scenario,
+            ctx: &mut CellContext<'_>,
+        ) -> Result<Option<CellOutput>, CoreError> {
+            self.0.lock().unwrap().push(*ctx.solver);
+            Ok(Some(CellOutput::new(1.0, 1.0)))
+        }
+    }
+
+    let base = SolverConfig::fast().with_outer_continuation(true);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let grid = SweepGrid::new(vec![1u64, 2])
+        .with_solver(base)
+        .point(12.0, ScenarioBuilder::paper_default().with_devices(2))
+        .arm(SolverRecorder(Arc::clone(&seen)));
+    let engine = SweepEngine::with_threads(2)
+        .with_warm_start(false)
+        .with_superlinear_mu(false)
+        .with_adaptive_mu_bracket(true);
+    let expected = engine.solver_config(&base);
+    assert!(!expected.warm_start && !expected.superlinear_mu && !expected.outer_continuation);
+    assert!(expected.adaptive_mu_bracket);
+    assert_eq!(expected.outer_tol, base.outer_tol);
+
+    engine.run(&grid).unwrap();
+    engine.run_cells(&grid).unwrap();
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len(), 2 * grid.num_cells());
+    assert!(seen.iter().all(|config| *config == expected), "{seen:?}");
 }
 
 /// A solver-free arm whose output is a cheap deterministic function of the cell

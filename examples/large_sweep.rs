@@ -13,6 +13,7 @@
 //! the default reproduces the full 10⁴-draw grid.
 
 use fedopt::experiments::engine::{SweepEngine, SweepGrid};
+use fedopt::experiments::spec::{ArmKind, ArmSpec, BenchmarkDraw};
 use fedopt::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,8 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A solver-bound Figure-2 slice: two p_max points, one energy-leaning weight pair,
     // small devices so 10⁴ draws finish in minutes rather than hours.
-    let solver = SolverConfig::fast();
-    let mut grid = SweepGrid::new((0..seeds).collect::<Vec<u64>>());
+    let mut grid =
+        SweepGrid::new((0..seeds).collect::<Vec<u64>>()).with_solver(SolverConfig::fast());
     for p_max_dbm in [5.0, 12.0] {
         grid = grid.point(
             p_max_dbm,
@@ -38,8 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     let grid = grid
-        .arm(fedopt::experiments::arms::ProposedArm::new(Weights::new(0.9, 0.1)?, solver))
-        .arm(fedopt::experiments::arms::BenchmarkArm::random_frequency());
+        .arm(ArmSpec::new(ArmKind::Proposed { weights: Weights::new(0.9, 0.1)? }))
+        .arm(ArmSpec::new(ArmKind::Benchmark { draw: BenchmarkDraw::Frequency }));
 
     let engine = SweepEngine::new();
     let (points, arms) = (grid.points.len(), grid.arms.len());
