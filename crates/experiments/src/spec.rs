@@ -2379,6 +2379,21 @@ mod tests {
     }
 
     #[test]
+    fn labeled_and_patched_arms_compile_to_configured_arms() {
+        let mut spec = tiny_spec();
+        spec.arms[0] = ArmSpec::new(ArmKind::Proposed { weights: Weights::balanced() })
+            .labeled("N = 3")
+            .with_scenario(ScenarioSpec { devices: Some(3), ..ScenarioSpec::default() });
+        let grid = spec.grid().unwrap();
+        let live = &grid.arms[0];
+        assert_eq!(live.name(), "N = 3");
+        let base = ScenarioBuilder::paper_default();
+        assert_eq!(live.prepare(&base), base.clone().with_devices(3));
+        // The unpatched arm leaves the point's scenario alone.
+        assert_eq!(grid.arms[1].prepare(&base), base);
+    }
+
+    #[test]
     fn run_spec_evaluates_the_grid() {
         let mut spec = tiny_spec();
         spec.seeds = SeedSpec::list(vec![1]);
