@@ -7,9 +7,8 @@
 //! > `r_n` is calculated from the initial bandwidth and transmission power."
 
 use crate::result::BaselineResult;
-use fedopt_core::sp2;
 use fedopt_core::{CoreError, SolverConfig, SolverWorkspace};
-use flsys::{CostSummary, Scenario, Weights};
+use flsys::{CostSummary, Scenario};
 
 /// Deadline-constrained energy minimization that only touches `(p, B)`.
 #[derive(Debug, Clone, Default)]
@@ -38,28 +37,14 @@ impl CommOnlyAllocator {
         scenario: &Scenario,
         total_deadline_s: f64,
     ) -> Result<BaselineResult, CoreError> {
-        self.allocate_with(scenario, total_deadline_s, &mut SolverWorkspace::new())
+        let mut ws = SolverWorkspace::new();
+        self.allocate_summary_with(scenario, total_deadline_s, &mut ws)?;
+        BaselineResult::evaluate(scenario, ws.allocation).map_err(CoreError::from)
     }
 
-    /// [`Self::allocate`] against a caller-owned [`SolverWorkspace`] — reusing the
-    /// workspace's per-device buffers instead of allocating per call (bit-identical
-    /// results; the workspace is pure scratch).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::allocate`].
-    pub fn allocate_with(
-        &self,
-        scenario: &Scenario,
-        total_deadline_s: f64,
-        ws: &mut SolverWorkspace,
-    ) -> Result<BaselineResult, CoreError> {
-        self.allocate_summary_with(scenario, total_deadline_s, ws)?;
-        BaselineResult::evaluate(scenario, ws.allocation.clone()).map_err(CoreError::from)
-    }
-
-    /// [`Self::allocate_with`] without materialising a [`BaselineResult`] — the sweep hot
-    /// path, allocation-free in steady state. The chosen allocation stays in
+    /// [`Self::allocate`] against a caller-owned [`SolverWorkspace`], without materialising
+    /// a [`BaselineResult`] — the sweep hot path, reusing the workspace's per-device buffers
+    /// and allocation-free in steady state. The chosen allocation stays in
     /// [`SolverWorkspace::allocation`]; the returned [`CostSummary`] totals are
     /// bit-identical to the full result's.
     ///
@@ -80,15 +65,12 @@ impl CommOnlyAllocator {
         ws.allocation.set_half_split_max(scenario);
         ws.allocation.rates_bps_into(scenario, &mut ws.rates_bps);
         ws.upload_times_from_rates(scenario);
-        let SolverWorkspace {
-            uploads_s, r_min_bps, frequencies_hz, sp2, allocation, counters, ..
-        } = &mut *ws;
-        let max_upload = uploads_s.iter().cloned().fold(0.0, f64::max);
+        let max_upload = ws.uploads_s.iter().cloned().fold(0.0, f64::max);
 
         // Fixed frequency from constraint (9a), shared compute budget = deadline − slowest upload.
         let compute_budget = (round_deadline - max_upload).max(1e-6);
-        frequencies_hz.clear();
-        frequencies_hz.extend(
+        ws.frequencies_hz.clear();
+        ws.frequencies_hz.extend(
             scenario
                 .devices
                 .iter()
@@ -97,23 +79,7 @@ impl CommOnlyAllocator {
 
         // Optimize (p, B) for minimum transmission energy under the per-device rate floors
         // implied by the deadline and the fixed frequencies.
-        r_min_bps.clear();
-        r_min_bps.extend(scenario.devices.iter().enumerate().map(|(i, d)| {
-            let t_cmp = rl * d.cycles_per_local_iteration() / frequencies_hz[i];
-            let budget = (round_deadline - t_cmp).max(1e-6);
-            d.upload_bits / budget
-        }));
-        sp2.stage_start(&allocation.powers_w, &allocation.bandwidths_hz);
-        let sp2_sol =
-            sp2::solve_in(scenario, Weights::energy_only(), r_min_bps, &self.config, sp2)?;
-        counters.record_sp2(&sp2_sol);
-
-        allocation.powers_w.copy_from_slice(&sp2.solution().powers_w);
-        allocation.bandwidths_hz.copy_from_slice(&sp2.solution().bandwidths_hz);
-        allocation.frequencies_hz.copy_from_slice(frequencies_hz);
-        allocation.project_feasible(scenario);
-        let summary = scenario.cost_summary(allocation).map_err(CoreError::from)?;
-        crate::check_deadline(summary, total_deadline_s, self.config.feasibility_tol)
+        crate::optimize_comm_under_deadline(scenario, total_deadline_s, &self.config, ws)
     }
 }
 

@@ -37,8 +37,8 @@ pub use result::BaselineResult;
 pub use scheme1::Scheme1Allocator;
 pub use seeding::{derive_stream_seed, round_channel_seed, StreamDerivation};
 
-use fedopt_core::CoreError;
-use flsys::CostSummary;
+use fedopt_core::{sp2, CoreError, SolverConfig, SolverWorkspace};
+use flsys::{CostSummary, Scenario, Weights};
 
 /// Rejects a deadline baseline's allocation whose total completion time overruns
 /// `total_deadline_s` by more than `tol` (relative). The deadline baselines pin part of
@@ -57,4 +57,46 @@ pub(crate) fn check_deadline(
             achievable_s: summary.total_time_s,
         })
     }
+}
+
+/// The shared tail of the deadline baselines that pin the CPU frequencies and optimize only
+/// `(p, B)` (communication-only and Scheme 1). Given the frequencies in
+/// [`SolverWorkspace::frequencies_hz`] and the starting `(p, B)` in
+/// [`SolverWorkspace::allocation`], it minimizes transmission energy under the per-device
+/// rate floors those frequencies leave within the round deadline, leaves the projected
+/// allocation in [`SolverWorkspace::allocation`] and checks the deadline.
+pub(crate) fn optimize_comm_under_deadline(
+    scenario: &Scenario,
+    total_deadline_s: f64,
+    config: &SolverConfig,
+    ws: &mut SolverWorkspace,
+) -> Result<CostSummary, CoreError> {
+    let round_deadline = total_deadline_s / scenario.params.rg();
+    let rl = scenario.params.rl();
+    ws.arrays.rebuild(scenario);
+    let SolverWorkspace { r_min_bps, frequencies_hz, sp2, allocation, counters, arrays, .. } =
+        &mut *ws;
+    r_min_bps.clear();
+    r_min_bps.extend(scenario.devices.iter().zip(frequencies_hz.iter()).map(|(d, &f)| {
+        let t_cmp = rl * d.cycles_per_local_iteration() / f;
+        let budget = (round_deadline - t_cmp).max(1e-6);
+        d.upload_bits / budget
+    }));
+    sp2.stage_start(&allocation.powers_w, &allocation.bandwidths_hz);
+    let sp2_sol = sp2::solve_with_arrays_in(
+        scenario,
+        arrays,
+        Weights::energy_only(),
+        r_min_bps,
+        config,
+        sp2,
+    )?;
+    counters.record_sp2(&sp2_sol);
+
+    allocation.powers_w.copy_from_slice(&sp2.solution().powers_w);
+    allocation.bandwidths_hz.copy_from_slice(&sp2.solution().bandwidths_hz);
+    allocation.frequencies_hz.copy_from_slice(frequencies_hz);
+    allocation.project_feasible(scenario);
+    let summary = scenario.cost_summary(allocation).map_err(CoreError::from)?;
+    check_deadline(summary, total_deadline_s, config.feasibility_tol)
 }

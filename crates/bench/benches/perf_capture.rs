@@ -88,13 +88,21 @@ fn main() {
     // --- sp2 hot-path latency (the Theorem-2 + Algorithm-1 stack, allocation-free form).
     let r_min: Vec<f64> = scenario.devices.iter().map(|d| d.upload_bits / 0.05).collect();
     let start_alloc = flsys::Allocation::equal_split_max(&scenario);
+    let arrays = flsys::ScenarioArrays::from_scenario(&scenario);
     let mut scratch = sp2::Sp2Scratch::new();
     let sp2_secs = {
         let mut once = || {
             scratch.stage_start(&start_alloc.powers_w, &start_alloc.bandwidths_hz);
-            sp2::solve_in(&scenario, Weights::balanced(), &r_min, &solver, &mut scratch)
-                .unwrap()
-                .comm_energy_per_round_j
+            sp2::solve_with_arrays_in(
+                &scenario,
+                &arrays,
+                Weights::balanced(),
+                &r_min,
+                &solver,
+                &mut scratch,
+            )
+            .unwrap()
+            .comm_energy_per_round_j
         };
         once(); // warm-up
         best_of(10, &mut once)

@@ -2,9 +2,10 @@
 //! Subproblem 2, and the full Algorithm 2 at several system sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fedopt_core::sp2::{self, PowerBandwidth};
-use fedopt_core::{sp1, JointOptimizer, KktScratch, SolverConfig, SolverWorkspace};
-use flsys::{Allocation, ScenarioBuilder, Weights};
+use fedopt_core::sp1::{self, Sp1WarmState};
+use fedopt_core::sp2;
+use fedopt_core::{JointOptimizer, SolverConfig, SolverWorkspace};
+use flsys::{Allocation, ScenarioArrays, ScenarioBuilder, Weights};
 use std::time::Duration;
 
 fn bench_numerics(c: &mut Criterion) {
@@ -43,39 +44,44 @@ fn bench_subproblems(c: &mut Criterion) {
     for &n in &[10usize, 25] {
         let scenario = ScenarioBuilder::paper_default().with_devices(n).build(7).unwrap();
         let uploads = vec![0.01; n];
+        let arrays = ScenarioArrays::from_scenario(&scenario);
+        // Cold searches: a fresh warm state per call, so every call spans the full bracket.
         group.bench_with_input(BenchmarkId::new("sp1_direct", n), &n, |b, _| {
+            let mut freqs = Vec::new();
+            let mut probes = 0u64;
             b.iter(|| {
-                sp1::solve_direct(&scenario, Weights::balanced(), &uploads, &cfg).unwrap().objective
+                sp1::solve_direct_with_arrays_in(
+                    &scenario,
+                    &arrays,
+                    Weights::balanced(),
+                    &uploads,
+                    &cfg,
+                    &mut freqs,
+                    &mut Sp1WarmState::default(),
+                    &mut probes,
+                )
+                .unwrap()
+                .objective
             })
         });
         let alloc = Allocation::equal_split_max(&scenario);
         let r_min: Vec<f64> = scenario.devices.iter().map(|d| d.upload_bits / 0.05).collect();
+        // The all-scratch form the sweep engine drives: zero heap allocations in steady
+        // state.
         group.bench_with_input(BenchmarkId::new("sp2_solve", n), &n, |b, _| {
-            let mut scratch = KktScratch::default();
+            let mut scratch = sp2::Sp2Scratch::new();
             b.iter(|| {
-                let start =
-                    PowerBandwidth::new(alloc.powers_w.clone(), alloc.bandwidths_hz.clone());
-                sp2::solve_scratch(
+                scratch.stage_start(&alloc.powers_w, &alloc.bandwidths_hz);
+                sp2::solve_with_arrays_in(
                     &scenario,
+                    &arrays,
                     Weights::balanced(),
                     &r_min,
-                    start,
                     &cfg,
                     &mut scratch,
                 )
                 .unwrap()
                 .comm_energy_per_round_j
-            })
-        });
-        // The all-scratch form the sweep engine drives: bit-identical solution, zero heap
-        // allocations in steady state.
-        group.bench_with_input(BenchmarkId::new("sp2_solve_in", n), &n, |b, _| {
-            let mut scratch = sp2::Sp2Scratch::new();
-            b.iter(|| {
-                scratch.stage_start(&alloc.powers_w, &alloc.bandwidths_hz);
-                sp2::solve_in(&scenario, Weights::balanced(), &r_min, &cfg, &mut scratch)
-                    .unwrap()
-                    .comm_energy_per_round_j
             })
         });
     }
@@ -95,14 +101,7 @@ fn bench_full_solve(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("solve_balanced", n), &n, |b, _| {
             b.iter(|| optimizer.solve(&scenario, Weights::balanced()).unwrap().objective)
         });
-        // The workspace-reusing hot path the sweep engine drives (bit-identical output).
-        group.bench_with_input(BenchmarkId::new("solve_balanced_with_workspace", n), &n, |b, _| {
-            let mut ws = SolverWorkspace::with_capacity(n);
-            b.iter(|| {
-                optimizer.solve_with(&scenario, Weights::balanced(), &mut ws).unwrap().objective
-            })
-        });
-        // The summary form: identical numbers, no Outcome materialisation — the actual
+        // The workspace form: identical numbers, no Outcome materialisation — the actual
         // per-cell path of every figure sweep (zero allocations in steady state).
         group.bench_with_input(BenchmarkId::new("solve_balanced_summary", n), &n, |b, _| {
             let mut ws = SolverWorkspace::with_capacity(n);

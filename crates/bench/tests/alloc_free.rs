@@ -128,11 +128,12 @@ fn sp2_solve_in_is_allocation_free_after_warmup() {
     let cfg = SolverConfig::default();
     let r_min: Vec<f64> = scenario.devices.iter().map(|d| d.upload_bits / 0.05).collect();
     let start = flsys::Allocation::equal_split_max(&scenario);
+    let arrays = flsys::ScenarioArrays::from_scenario(&scenario);
     let mut scratch = sp2::Sp2Scratch::new();
 
     let solve_once = |scratch: &mut sp2::Sp2Scratch| {
         scratch.stage_start(&start.powers_w, &start.bandwidths_hz);
-        sp2::solve_in(&scenario, Weights::balanced(), &r_min, &cfg, scratch)
+        sp2::solve_with_arrays_in(&scenario, &arrays, Weights::balanced(), &r_min, &cfg, scratch)
             .unwrap()
             .comm_energy_per_round_j
     };
@@ -143,7 +144,7 @@ fn sp2_solve_in_is_allocation_free_after_warmup() {
     assert_eq!(
         thread_allocation_count() - before,
         0,
-        "a warmed-up sp2::solve_in must not touch the heap"
+        "a warmed-up sp2::solve_with_arrays_in must not touch the heap"
     );
     assert_eq!(energy, warm);
 }

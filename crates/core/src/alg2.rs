@@ -12,9 +12,15 @@
 //! point.
 //!
 //! [`JointOptimizer::solve_with_deadline`] is the deadline-constrained variant used for the
-//! comparisons of Figures 7 and 8 (`w1 = 1, w2 = 0`, completion time as a hard constraint),
-//! and [`JointOptimizer::minimize_round_time`] is the pure delay-minimization path used when
-//! `w2 = 1`.
+//! comparisons of Figures 7 and 8 (`w1 = 1, w2 = 0`, completion time as a hard constraint):
+//! the same alternation with Subproblem 1 replaced by an energy-optimal split of the round
+//! deadline, run through the same private loop. [`JointOptimizer::minimize_round_time`] is
+//! the pure delay-minimization path used when `w2 = 1`.
+//!
+//! Each variant has one workspace entry point ([`JointOptimizer::solve_summary_with`],
+//! [`JointOptimizer::solve_with_deadline_summary_in`]) and one owned-result facade
+//! ([`JointOptimizer::solve`], [`JointOptimizer::solve_with_deadline`]) that runs it on a
+//! fresh workspace.
 
 use crate::config::SolverConfig;
 use crate::error::CoreError;
@@ -62,6 +68,19 @@ pub struct Outcome {
     pub converged: bool,
 }
 
+/// What one run of Algorithm 2's alternation minimizes. The mode picks the frequency and
+/// rate-floor step of every outer iteration and the rule for the best iterate; everything
+/// else (the Subproblem-2 call, projection, cost, trace, convergence) is shared.
+#[derive(Debug, Clone, Copy)]
+enum Mode {
+    /// The weighted problem (9): Subproblem 1 plus the rate floors its round time implies;
+    /// the best iterate has the lowest weighted objective.
+    Weighted(Weights),
+    /// Energy under a per-round deadline (s): the energy-optimal compute/upload split; the
+    /// best iterate has the lowest energy among those meeting the deadline.
+    Deadline(f64),
+}
+
 /// The paper's resource-allocation algorithm (Algorithm 2) plus its deadline-constrained and
 /// delay-only variants.
 #[derive(Debug, Clone, Default)]
@@ -80,7 +99,8 @@ impl JointOptimizer {
         &self.config
     }
 
-    /// Solves the weighted joint problem (9) for the given scenario and weights.
+    /// Solves the weighted joint problem (9) for the given scenario and weights, on a fresh
+    /// workspace, and returns the owned [`Outcome`].
     ///
     /// # Errors
     ///
@@ -88,25 +108,9 @@ impl JointOptimizer {
     /// [`CoreError::Numerical`] if both Subproblem-2 solvers fail (which the test-suite never
     /// observes on paper-like scenarios).
     pub fn solve(&self, scenario: &Scenario, weights: Weights) -> Result<Outcome, CoreError> {
-        self.solve_with(scenario, weights, &mut SolverWorkspace::new())
-    }
-
-    /// [`Self::solve`] against a caller-owned [`SolverWorkspace`], so repeated solves (a
-    /// figure sweep runs thousands) reuse one set of per-device buffers instead of
-    /// allocating per call. The workspace is pure scratch — see [`crate::workspace`] for the
-    /// reuse contract — and the result is bit-identical to [`Self::solve`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::solve`].
-    pub fn solve_with(
-        &self,
-        scenario: &Scenario,
-        weights: Weights,
-        ws: &mut SolverWorkspace,
-    ) -> Result<Outcome, CoreError> {
-        let summary = self.solve_summary_with(scenario, weights, ws)?;
-        self.outcome_from_workspace(scenario, weights, ws, summary)
+        let mut ws = SolverWorkspace::new();
+        let summary = self.solve_summary_with(scenario, weights, &mut ws)?;
+        self.outcome_from_workspace(scenario, weights, &ws, summary)
     }
 
     /// Enforces the caller's wall-clock budget ([`SolverWorkspace::solve_deadline`]) at an
@@ -123,14 +127,15 @@ impl JointOptimizer {
         Ok(())
     }
 
-    /// [`Self::solve_with`] without materialising an [`Outcome`]: the sweep hot path.
+    /// [`Self::solve`] against a caller-owned [`SolverWorkspace`], without materialising an
+    /// [`Outcome`]: the hot path of sweeps, serving and the round simulation.
     ///
     /// Returns the scalar [`OutcomeSummary`] and leaves the winning allocation in
     /// [`SolverWorkspace::best`] (projected feasible) and the convergence trace in
-    /// [`SolverWorkspace::trace`]. The numbers are bit-identical to [`Self::solve_with`] —
-    /// this entry point merely skips cloning the allocation, the per-device cost breakdown
-    /// and the trace, which makes a whole figure cell **allocation-free in steady state**
-    /// (after the workspace has grown to the scenario's device count once).
+    /// [`SolverWorkspace::trace`]. Repeated solves reuse one set of per-device buffers (the
+    /// workspace is pure scratch — see [`crate::workspace`] for the reuse contract), which
+    /// makes a whole figure cell **allocation-free in steady state** (after the workspace has
+    /// grown to the scenario's device count once).
     ///
     /// # Errors
     ///
@@ -171,122 +176,11 @@ impl JointOptimizer {
             ws.allocation.set_equal_split_max(scenario);
         }
         ws.arrays.rebuild(scenario);
-        let mut best_objective = f64::INFINITY;
-        let mut have_best = false;
-        let mut converged = false;
+        let mut best = None;
+        let converged =
+            self.alternate(scenario, Mode::Weighted(weights), continued, &mut best, ws)?;
 
-        for k in 1..=self.config.outer_max_iter {
-            // Deadline watchdog: the caller's wall-clock budget is checked at every
-            // outer-iteration boundary, so an expired budget costs at most one more
-            // (bounded) iteration before the solve degrades to the typed error.
-            Self::check_deadline(ws, k - 1)?;
-            ws.previous.clone_from(&ws.allocation);
-
-            // --- Subproblem 1: frequencies and the auxiliary round time T. ---
-            ws.allocation.rates_bps_into(scenario, &mut ws.rates_bps);
-            ws.upload_times_from_rates(scenario);
-            let SolverWorkspace {
-                uploads_s,
-                r_min_bps,
-                frequencies_hz,
-                sp2,
-                allocation,
-                previous,
-                best,
-                trace,
-                counters,
-                arrays,
-                sp1_warm,
-                ..
-            } = &mut *ws;
-            counters.outer_iterations += 1;
-            let sp1_sol = match sp1::solve_direct_with_arrays_in(
-                scenario,
-                arrays,
-                weights,
-                uploads_s,
-                &self.config,
-                frequencies_hz,
-                sp1_warm,
-                &mut counters.sp1_probe_evals,
-            ) {
-                Ok(sol) => sol,
-                // Watchdog: a non-finite subproblem objective (overflowed energy, NaN
-                // cost) is a property of the draw, not a solver bug — degrade the whole
-                // solve to the typed infeasibility instead of escalating a hard error
-                // that would abort an entire sweep shard.
-                Err(CoreError::Numerical(numopt::NumError::NonFiniteValue { .. })) => {
-                    counters.degraded_solves += 1;
-                    return Err(CoreError::NonFiniteObjective { iterations: k });
-                }
-                Err(e) => return Err(e),
-            };
-            allocation.frequencies_hz.copy_from_slice(frequencies_hz);
-
-            // --- Subproblem 2: powers and bandwidths under the rate floors implied by T. ---
-            rate_floors_into(
-                arrays,
-                scenario.params.rl(),
-                sp1_sol.round_time_s,
-                frequencies_hz,
-                weights,
-                r_min_bps,
-            );
-            if !(self.config.warm_start && (k > 1 || continued)) {
-                // Warm continuation keeps the previous SP2 iterate staged in the scratch
-                // (un-projected, which is what the fast path recognises); the cold path
-                // restages the projected allocation every iteration, as Algorithm 2 writes.
-                // An outer-continued solve extends the same rule to k = 1: the scratch
-                // still stages the previous solve's iterate of this very problem.
-                sp2.stage_start(&allocation.powers_w, &allocation.bandwidths_hz);
-            }
-            let sp2_sol = match sp2::solve_with_arrays_in(
-                scenario,
-                arrays,
-                weights,
-                r_min_bps,
-                &self.config,
-                sp2,
-            ) {
-                Ok(sol) => sol,
-                Err(CoreError::Numerical(numopt::NumError::NonFiniteValue { .. })) => {
-                    counters.degraded_solves += 1;
-                    return Err(CoreError::NonFiniteObjective { iterations: k });
-                }
-                Err(e) => return Err(e),
-            };
-            counters.record_sp2(&sp2_sol);
-            allocation.powers_w.copy_from_slice(&sp2.solution().powers_w);
-            allocation.bandwidths_hz.copy_from_slice(&sp2.solution().bandwidths_hz);
-            allocation.project_feasible(scenario);
-
-            // --- Bookkeeping. ---
-            let cost = scenario.cost_summary_arrays(arrays, allocation)?;
-            let objective = cost.objective(weights);
-            let change = allocation.normalized_distance(previous);
-            trace.push(OuterIteration {
-                k,
-                objective,
-                total_energy_j: cost.total_energy_j,
-                total_time_s: cost.total_time_s,
-                solution_change: change,
-                sp2_converged: sp2_sol.converged,
-                sp2_iterations: sp2_sol.iterations,
-            });
-            // Watchdog: a non-finite objective (overflowed energy, NaN cost) must never be
-            // accepted as "best" — it would propagate straight into the summary totals.
-            if objective.is_finite() && (!have_best || objective < best_objective) {
-                best_objective = objective;
-                have_best = true;
-                best.clone_from(allocation);
-            }
-            if change <= self.config.outer_tol {
-                converged = true;
-                break;
-            }
-        }
-
-        if !have_best {
+        if best.is_none() {
             // Every iteration in the budget produced a non-finite objective: degrade the
             // solve (typed error + counter) instead of panicking or returning garbage.
             // Sweep layers map this to an infeasible cell, so one pathological draw
@@ -298,7 +192,8 @@ impl JointOptimizer {
     }
 
     /// Minimizes total energy subject to a hard completion-time deadline for the whole
-    /// training process (the setting of Figures 7 and 8, `w1 = 1, w2 = 0`).
+    /// training process (the setting of Figures 7 and 8, `w1 = 1, w2 = 0`), on a fresh
+    /// workspace, and returns the owned [`Outcome`].
     ///
     /// # Errors
     ///
@@ -309,29 +204,15 @@ impl JointOptimizer {
         scenario: &Scenario,
         total_deadline_s: f64,
     ) -> Result<Outcome, CoreError> {
-        self.solve_with_deadline_in(scenario, total_deadline_s, &mut SolverWorkspace::new())
+        let mut ws = SolverWorkspace::new();
+        let summary = self.solve_with_deadline_summary_in(scenario, total_deadline_s, &mut ws)?;
+        self.outcome_from_workspace(scenario, Weights::energy_only(), &ws, summary)
     }
 
-    /// [`Self::solve_with_deadline`] against a caller-owned [`SolverWorkspace`] (same reuse
-    /// contract as [`Self::solve_with`]; bit-identical results).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::solve_with_deadline`].
-    pub fn solve_with_deadline_in(
-        &self,
-        scenario: &Scenario,
-        total_deadline_s: f64,
-        ws: &mut SolverWorkspace,
-    ) -> Result<Outcome, CoreError> {
-        let summary = self.solve_with_deadline_summary_in(scenario, total_deadline_s, ws)?;
-        self.outcome_from_workspace(scenario, Weights::energy_only(), ws, summary)
-    }
-
-    /// [`Self::solve_with_deadline_in`] without materialising an [`Outcome`] — the sweep
-    /// hot path of Figures 7 and 8, with the same workspace conventions as
-    /// [`Self::solve_summary_with`] (winning allocation in [`SolverWorkspace::best`], trace
-    /// in [`SolverWorkspace::trace`]; bit-identical numbers).
+    /// [`Self::solve_with_deadline`] against a caller-owned [`SolverWorkspace`], without
+    /// materialising an [`Outcome`] — the sweep hot path of Figures 7 and 8, with the same
+    /// workspace conventions as [`Self::solve_summary_with`] (winning allocation in
+    /// [`SolverWorkspace::best`], trace in [`SolverWorkspace::trace`]).
     ///
     /// # Errors
     ///
@@ -342,13 +223,13 @@ impl JointOptimizer {
         total_deadline_s: f64,
         ws: &mut SolverWorkspace,
     ) -> Result<OutcomeSummary, CoreError> {
+        ws.trace.clear();
         if !(total_deadline_s.is_finite() && total_deadline_s > 0.0) {
             return Err(CoreError::Model(flsys::FlError::InvalidParameter {
                 name: "total_deadline_s",
                 value: total_deadline_s,
             }));
         }
-        let weights = Weights::energy_only();
         let round_deadline = total_deadline_s / scenario.params.rg();
 
         Self::check_deadline(ws, 0)?;
@@ -360,15 +241,13 @@ impl JointOptimizer {
             });
         }
 
-        // The alternation below is a local search, and at fixed deadlines its quality depends
-        // on the starting bandwidth split: the equal split is the better seed when the
-        // deadline is loose, the time-optimal split (which hands far devices the bandwidth
-        // they need) is the better seed when the deadline is tight. Run both seeds and keep
-        // the cheaper feasible result (tracked across both runs in `ws.best`).
-        ws.trace.clear();
+        // The alternation is a local search, and at fixed deadlines its quality depends on
+        // the starting bandwidth split: the equal split is the better seed when the deadline
+        // is loose, the time-optimal split (which hands far devices the bandwidth they need)
+        // is the better seed when the deadline is tight. Run both seeds and keep the cheaper
+        // feasible result (tracked across both runs in `ws.best`).
         ws.arrays.rebuild(scenario);
-        let mut best_energy = f64::INFINITY;
-        let mut have_best = false;
+        let mut best = None;
         let mut converged = false;
         for tight_seed in [false, true] {
             if tight_seed {
@@ -376,105 +255,85 @@ impl JointOptimizer {
             } else {
                 ws.allocation.set_equal_split_max(scenario);
             }
-            converged |= self.deadline_iterations(
-                scenario,
-                round_deadline,
-                &mut best_energy,
-                &mut have_best,
-                ws,
-            )?;
+            converged |=
+                self.alternate(scenario, Mode::Deadline(round_deadline), false, &mut best, ws)?;
         }
 
-        if !have_best {
+        if best.is_none() {
             // Every iterate somehow missed the deadline (only possible in pathological corner
             // cases): fall back to the fastest allocation, which was proven to meet it.
             ws.best.clone_from(&fastest_alloc);
         }
-        self.finish_summary(scenario, weights, ws, converged)
+        self.finish_summary(scenario, Weights::energy_only(), ws, converged)
     }
 
-    /// One run of the deadline-constrained alternation from the allocation staged in
-    /// [`SolverWorkspace::allocation`]. Updates the cross-seed best (energy in
-    /// `best_energy`/`have_best`, allocation in [`SolverWorkspace::best`]) and returns
-    /// whether the loop converged.
-    fn deadline_iterations(
+    /// One run of Algorithm 2's alternation from the allocation staged in
+    /// [`SolverWorkspace::allocation`], appending to [`SolverWorkspace::trace`] (its `k`
+    /// continues the trace, so a second deadline seed numbers on from the first). Updates
+    /// the best iterate across runs — its score in `best`, its allocation in
+    /// [`SolverWorkspace::best`] — and returns whether the loop converged.
+    ///
+    /// `continued` extends the warm-start rule "keep the previous SP2 iterate staged" to
+    /// `k = 1`; only the weighted outer continuation sets it.
+    fn alternate(
         &self,
         scenario: &Scenario,
-        round_deadline: f64,
-        best_energy: &mut f64,
-        have_best: &mut bool,
+        mode: Mode,
+        continued: bool,
+        best: &mut Option<f64>,
         ws: &mut SolverWorkspace,
     ) -> Result<bool, CoreError> {
-        let weights = Weights::energy_only();
-        let mut converged = false;
         let k_offset = ws.trace.len();
-
         for k in 1..=self.config.outer_max_iter {
-            // Same wall-clock watchdog as the weighted loop (see `solve_summary_with`).
+            // Deadline watchdog: the caller's wall-clock budget is checked at every
+            // outer-iteration boundary, so an expired budget costs at most one more
+            // (bounded) iteration before the solve degrades to the typed error.
             Self::check_deadline(ws, k_offset + k - 1)?;
             ws.previous.clone_from(&ws.allocation);
+            ws.counters.outer_iterations += 1;
+
+            // Warm continuation keeps the previous SP2 iterate staged in the scratch
+            // (un-projected, which is what the fast path recognises); the cold path restages
+            // the projected allocation every iteration, as Algorithm 2 writes. Each deadline
+            // seed restages at k = 1, preserving the dual-seed diversity the search relies on.
+            let restage = !(self.config.warm_start && (k > 1 || continued));
+            let sp2_sol = match self.subproblems(scenario, mode, restage, ws) {
+                Ok(sol) => sol,
+                // Watchdog: a non-finite subproblem objective (overflowed energy, NaN
+                // cost) is a property of the draw, not a solver bug — degrade the whole
+                // solve to the typed infeasibility instead of escalating a hard error
+                // that would abort an entire sweep shard.
+                Err(CoreError::Numerical(numopt::NumError::NonFiniteValue { .. })) => {
+                    ws.counters.degraded_solves += 1;
+                    return Err(CoreError::NonFiniteObjective { iterations: k });
+                }
+                Err(e) => return Err(e),
+            };
             let SolverWorkspace {
-                r_min_bps,
-                frequencies_hz,
                 sp2,
                 allocation,
                 previous,
-                best,
+                best: best_alloc,
                 trace,
                 counters,
                 arrays,
                 ..
             } = &mut *ws;
-            counters.outer_iterations += 1;
-
-            // Split every device's round deadline between computation and upload so that the
-            // *total* per-device energy (computation at the implied frequency plus the
-            // cheapest transmission meeting the implied rate) is minimized, given the current
-            // bandwidth shares. This plays the role Subproblem 1 plays in the weighted
-            // problem: it decides the frequencies and the rate floors handed to Subproblem 2.
-            self.optimal_split_for_deadline(
-                scenario,
-                round_deadline,
-                &allocation.bandwidths_hz,
-                frequencies_hz,
-                r_min_bps,
-            );
-            allocation.frequencies_hz.copy_from_slice(frequencies_hz);
-
-            // Powers/bandwidths: communication-energy minimization under those rate floors.
-            if !(self.config.warm_start && k > 1) {
-                // Same warm continuation as the weighted loop — but never across the two
-                // seed runs: each run restages its own starting point at k = 1, preserving
-                // the dual-seed diversity the deadline search relies on.
-                sp2.stage_start(&allocation.powers_w, &allocation.bandwidths_hz);
-            }
-            let sp2_sol = match sp2::solve_with_arrays_in(
-                scenario,
-                arrays,
-                weights,
-                r_min_bps,
-                &self.config,
-                sp2,
-            ) {
-                Ok(sol) => sol,
-                // Same degradation contract as the weighted loop: non-finite subproblem
-                // values become the typed watchdog error, never a shard-killing abort.
-                Err(CoreError::Numerical(numopt::NumError::NonFiniteValue { .. })) => {
-                    counters.degraded_solves += 1;
-                    return Err(CoreError::NonFiniteObjective { iterations: k });
-                }
-                Err(e) => return Err(e),
-            };
             counters.record_sp2(&sp2_sol);
             allocation.powers_w.copy_from_slice(&sp2.solution().powers_w);
             allocation.bandwidths_hz.copy_from_slice(&sp2.solution().bandwidths_hz);
             allocation.project_feasible(scenario);
 
+            // --- Bookkeeping. ---
             let cost = scenario.cost_summary_arrays(arrays, allocation)?;
-            // Track energy among allocations that actually meet the deadline (tiny slack for
-            // the floating-point repairs in the sanitize pass).
-            let meets_deadline = cost.round_time_s <= round_deadline * (1.0 + 1e-3);
-            let objective = cost.total_energy_j;
+            let (objective, eligible) = match mode {
+                Mode::Weighted(weights) => (cost.objective(weights), true),
+                // Energy counts only for allocations that actually meet the deadline (tiny
+                // slack for the floating-point repairs in the sanitize pass).
+                Mode::Deadline(round_deadline) => {
+                    (cost.total_energy_j, cost.round_time_s <= round_deadline * (1.0 + 1e-3))
+                }
+            };
             let change = allocation.normalized_distance(previous);
             trace.push(OuterIteration {
                 k: k_offset + k,
@@ -485,21 +344,88 @@ impl JointOptimizer {
                 sp2_converged: sp2_sol.converged,
                 sp2_iterations: sp2_sol.iterations,
             });
-            // The same non-finite watchdog as the weighted loop: an overflowed energy can
-            // never become "best" (the deadline search falls back to `fastest_alloc` or a
-            // typed infeasibility when nothing finite survives).
-            if objective.is_finite() && meets_deadline && (!*have_best || objective < *best_energy)
-            {
-                *best_energy = objective;
-                *have_best = true;
-                best.clone_from(allocation);
+            // Watchdog: a non-finite objective (overflowed energy, NaN cost) must never be
+            // accepted as "best" — it would propagate straight into the summary totals.
+            if objective.is_finite() && eligible && best.map_or(true, |b| objective < b) {
+                *best = Some(objective);
+                best_alloc.clone_from(allocation);
             }
             if change <= self.config.outer_tol {
-                converged = true;
-                break;
+                return Ok(true);
             }
         }
-        Ok(converged)
+        Ok(false)
+    }
+
+    /// The two subproblem steps of one outer iteration: the mode's frequency and rate-floor
+    /// step (into [`SolverWorkspace::frequencies_hz`], copied into the working allocation,
+    /// and [`SolverWorkspace::r_min_bps`]), then Subproblem 2 — powers and bandwidths under
+    /// those floors — from the working allocation when `restage` is set and from the
+    /// scratch's staged iterate otherwise.
+    fn subproblems(
+        &self,
+        scenario: &Scenario,
+        mode: Mode,
+        restage: bool,
+        ws: &mut SolverWorkspace,
+    ) -> Result<sp2::Sp2Summary, CoreError> {
+        let weights = match mode {
+            Mode::Weighted(weights) => {
+                // Subproblem 1: frequencies and the auxiliary round time T for the current
+                // uplink times, then the rate floors implied by T.
+                ws.allocation.rates_bps_into(scenario, &mut ws.rates_bps);
+                ws.upload_times_from_rates(scenario);
+                let SolverWorkspace {
+                    uploads_s,
+                    r_min_bps,
+                    frequencies_hz,
+                    counters,
+                    arrays,
+                    sp1_warm,
+                    ..
+                } = &mut *ws;
+                let sp1_sol = sp1::solve_direct_with_arrays_in(
+                    scenario,
+                    arrays,
+                    weights,
+                    uploads_s,
+                    &self.config,
+                    frequencies_hz,
+                    sp1_warm,
+                    &mut counters.sp1_probe_evals,
+                )?;
+                rate_floors_into(
+                    arrays,
+                    scenario.params.rl(),
+                    sp1_sol.round_time_s,
+                    frequencies_hz,
+                    weights,
+                    r_min_bps,
+                );
+                weights
+            }
+            Mode::Deadline(round_deadline) => {
+                // Split every device's round deadline between computation and upload so that
+                // the *total* per-device energy (computation at the implied frequency plus
+                // the cheapest transmission meeting the implied rate) is minimized, given the
+                // current bandwidth shares. This plays the role Subproblem 1 plays in the
+                // weighted problem.
+                self.optimal_split_for_deadline(
+                    scenario,
+                    round_deadline,
+                    &ws.allocation.bandwidths_hz,
+                    &mut ws.frequencies_hz,
+                    &mut ws.r_min_bps,
+                );
+                Weights::energy_only()
+            }
+        };
+        let SolverWorkspace { r_min_bps, frequencies_hz, sp2, allocation, arrays, .. } = &mut *ws;
+        allocation.frequencies_hz.copy_from_slice(frequencies_hz);
+        if restage {
+            sp2.stage_start(&allocation.powers_w, &allocation.bandwidths_hz);
+        }
+        sp2::solve_with_arrays_in(scenario, arrays, weights, r_min_bps, &self.config, sp2)
     }
 
     /// For a fixed round deadline and fixed bandwidth shares, chooses each device's
@@ -705,33 +631,12 @@ impl JointOptimizer {
     }
 }
 
-/// Rate floors `r_n^min = d_n / (T − R_l c_n D_n / f_n)` implied by a round deadline `T`.
+/// Rate floors `r_n^min = d_n / (T − R_l c_n D_n / f_n)` implied by a round deadline `T`,
+/// into a caller-owned buffer (cleared first). Reads the [`ScenarioArrays`] lanes (one zip,
+/// no per-device struct chasing); `rl` is the scenario's local-iteration count `R_l`.
 ///
 /// With no pressure on time (`w2 = 0` and no explicit deadline handling by the caller) the
 /// floors are zero — the paper's constraint (9a) is slack in that regime.
-#[cfg(test)]
-fn rate_floors(
-    scenario: &Scenario,
-    round_time_s: f64,
-    frequencies_hz: &[f64],
-    weights: Weights,
-) -> Vec<f64> {
-    let arrays = ScenarioArrays::from_scenario(scenario);
-    let mut out = Vec::with_capacity(scenario.devices.len());
-    rate_floors_into(
-        &arrays,
-        scenario.params.rl(),
-        round_time_s,
-        frequencies_hz,
-        weights,
-        &mut out,
-    );
-    out
-}
-
-/// `rate_floors` into a caller-owned buffer (cleared first) — the hot-path form used by
-/// Algorithm 2's outer loop. Reads the [`ScenarioArrays`] lanes (one zip, no per-device
-/// struct chasing); `rl` is the scenario's local-iteration count `R_l`.
 fn rate_floors_into(
     arrays: &ScenarioArrays,
     rl: f64,
@@ -877,18 +782,24 @@ mod tests {
         let s = scenario(10, 35);
         let opt = optimizer();
         let mut ws = SolverWorkspace::new();
+        let w = Weights::new(0.5, 0.5).unwrap();
+        // A successful solve first, so a trace left over from it would show.
+        opt.solve_summary_with(&s, w, &mut ws).unwrap();
+        assert!(!ws.trace.is_empty());
 
         // A budget that is already in the past must stop the solve at the first boundary
-        // check — zero outer iterations, typed error, no hang.
+        // check — zero outer iterations, typed error, no hang, and no stale trace.
         ws.solve_deadline = Some(std::time::Instant::now() - std::time::Duration::from_millis(1));
-        match opt.solve_summary_with(&s, Weights::new(0.5, 0.5).unwrap(), &mut ws) {
-            Err(CoreError::DeadlineExpired { iterations }) => assert_eq!(iterations, 0),
-            other => panic!("expected DeadlineExpired, got {other:?}"),
-        }
         match opt.solve_with_deadline_summary_in(&s, 500.0, &mut ws) {
             Err(CoreError::DeadlineExpired { iterations }) => assert_eq!(iterations, 0),
             other => panic!("expected DeadlineExpired, got {other:?}"),
         }
+        assert!(ws.trace.is_empty(), "an expired deadline solve left a stale trace");
+        match opt.solve_summary_with(&s, w, &mut ws) {
+            Err(CoreError::DeadlineExpired { iterations }) => assert_eq!(iterations, 0),
+            other => panic!("expected DeadlineExpired, got {other:?}"),
+        }
+        assert!(ws.trace.is_empty(), "an expired weighted solve left a stale trace");
         // A deadline miss is a budget property, not workspace corruption: it must not be
         // counted as a degraded (non-finite) solve.
         assert_eq!(ws.counters.degraded_solves, 0);
@@ -896,10 +807,18 @@ mod tests {
         // The budget is a caller-managed input — clearing it restores normal behaviour,
         // and a generous budget never fires.
         ws.solve_deadline = None;
-        opt.solve_summary_with(&s, Weights::new(0.5, 0.5).unwrap(), &mut ws).unwrap();
+        opt.solve_summary_with(&s, w, &mut ws).unwrap();
         ws.solve_deadline = Some(std::time::Instant::now() + std::time::Duration::from_secs(3600));
-        opt.solve_summary_with(&s, Weights::new(0.5, 0.5).unwrap(), &mut ws).unwrap();
+        opt.solve_summary_with(&s, w, &mut ws).unwrap();
         ws.solve_deadline = None;
+
+        // An infeasible deadline is rejected at entry, again without a stale trace.
+        assert!(!ws.trace.is_empty());
+        match opt.solve_with_deadline_summary_in(&s, 1e-3, &mut ws) {
+            Err(CoreError::InfeasibleDeadline { .. }) => {}
+            other => panic!("expected InfeasibleDeadline, got {other:?}"),
+        }
+        assert!(ws.trace.is_empty(), "an infeasible deadline solve left a stale trace");
     }
 
     #[test]
@@ -1063,34 +982,57 @@ mod tests {
         let a = scenario(9, 42);
         let b = scenario(6, 43);
 
-        let fresh = opt.solve_with(&b, Weights::balanced(), &mut SolverWorkspace::new()).unwrap();
+        let solve = |s: &Scenario, ws: &mut SolverWorkspace| {
+            let summary = opt.solve_summary_with(s, Weights::balanced(), ws).unwrap();
+            (summary, ws.best.clone(), ws.trace.clone())
+        };
+        let fresh = solve(&b, &mut SolverWorkspace::new());
         let mut reused = SolverWorkspace::new();
-        opt.solve_with(&a, Weights::balanced(), &mut reused).unwrap(); // dirty the warm state
+        solve(&a, &mut reused); // dirty the warm state
         reused.reset_warm_start();
-        let after_reset = opt.solve_with(&b, Weights::balanced(), &mut reused).unwrap();
+        let after_reset = solve(&b, &mut reused);
         assert_eq!(after_reset, fresh, "reset_warm_start must restore fresh behaviour");
     }
 
     #[test]
     fn trace_records_sp2_iterations_and_fast_path_hits_are_counted() {
         let s = scenario(8, 44);
-        let warm_opt = JointOptimizer::new(SolverConfig::fast().with_warm_start(true));
-        let mut ws = SolverWorkspace::new();
-        let out = warm_opt.solve_with(&s, Weights::balanced(), &mut ws).unwrap();
-        assert!(!out.trace.is_empty());
-        // Jong iterations recorded per outer iteration must sum to the workspace total.
-        let traced: u64 = out.trace.iterations.iter().map(|it| it.sp2_iterations as u64).sum();
-        assert_eq!(traced, ws.counters.jong_iterations);
-        assert_eq!(ws.counters.outer_iterations, out.trace.len() as u64);
-        assert_eq!(ws.counters.jong_iterations, ws.counters.kkt_solves);
+        let (_, fastest_round) = optimizer().minimize_round_time(&s).unwrap();
+        let deadline = fastest_round * s.params.rg() * 1.8;
+        // Both alternations, warm and cold; the deadline runs trace both of their seeds.
+        for warm in [true, false] {
+            let opt = JointOptimizer::new(SolverConfig::fast().with_warm_start(warm));
+            for deadline_mode in [false, true] {
+                let mut ws = SolverWorkspace::new();
+                if deadline_mode {
+                    opt.solve_with_deadline_summary_in(&s, deadline, &mut ws).unwrap();
+                } else {
+                    opt.solve_summary_with(&s, Weights::balanced(), &mut ws).unwrap();
+                }
+                let run = format!("warm {warm}, deadline {deadline_mode}");
+                assert!(!ws.trace.is_empty(), "{run}");
+                assert_eq!(ws.counters.outer_iterations, ws.trace.len() as u64, "{run}");
+                // Jong iterations recorded per outer iteration sum to the workspace total.
+                let traced: u64 = ws.trace.iter().map(|it| it.sp2_iterations as u64).sum();
+                assert_eq!(traced, ws.counters.jong_iterations, "{run}");
+                assert_eq!(ws.counters.jong_iterations, ws.counters.kkt_solves, "{run}");
+                let ks: Vec<usize> = ws.trace.iter().map(|it| it.k).collect();
+                assert_eq!(ks, (1..=ws.trace.len()).collect::<Vec<_>>(), "{run}");
+            }
+        }
     }
 
     #[test]
     fn rate_floors_shrink_with_looser_deadline() {
         let s = scenario(5, 39);
+        let arrays = ScenarioArrays::from_scenario(&s);
         let freqs: Vec<f64> = s.devices.iter().map(|d| d.f_max.value()).collect();
-        let tight = rate_floors(&s, 0.1, &freqs, Weights::balanced());
-        let loose = rate_floors(&s, 1.0, &freqs, Weights::balanced());
+        let floors = |t: f64, out: &mut Vec<f64>| {
+            rate_floors_into(&arrays, s.params.rl(), t, &freqs, Weights::balanced(), out)
+        };
+        let (mut tight, mut loose) = (Vec::new(), Vec::new());
+        floors(0.1, &mut tight);
+        floors(1.0, &mut loose);
         for (t, l) in tight.iter().zip(&loose) {
             assert!(t > l);
         }

@@ -16,7 +16,9 @@ pub struct SolverConfig {
     /// Newton-like loop settings for Subproblem 2 (the paper's Algorithm 1).
     #[serde(skip, default = "default_jong")]
     pub jong: JongConfig,
-    /// Relative tolerance of the bisection that finds the bandwidth-budget multiplier `μ`.
+    /// Relative tolerance of the root search that finds the bandwidth-budget multiplier `μ`
+    /// (Brent by default, pure bisection with [`SolverConfig::superlinear_mu`] off),
+    /// relative to the upper end of the conservative `μ` bracket.
     pub mu_tol: f64,
     /// Tolerance of the one-dimensional searches (Subproblem 1 over `T`, baselines).
     pub scalar_tol: f64,

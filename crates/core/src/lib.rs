@@ -15,6 +15,13 @@
 //! * [`alg2`] — Algorithm 2: the alternating outer loop, the deadline-constrained variant
 //!   used by Figures 7–8, and the pure delay-minimization path.
 //!
+//! Each layer has one entry point, which borrows a [`SolverWorkspace`] and allocates nothing
+//! in steady state: `sp1::solve_direct_with_arrays_in`, `sp2::solve_with_arrays_in` (over
+//! `sp2::kkt::solve_parametric_into` and `sp2::reference::solve_reference_into`), and
+//! [`JointOptimizer::solve_summary_with`] / [`JointOptimizer::solve_with_deadline_summary_in`].
+//! [`JointOptimizer::solve`] and [`JointOptimizer::solve_with_deadline`] wrap the last two in
+//! a fresh workspace and return an owned [`Outcome`].
+//!
 //! ## Example
 //!
 //! ```rust

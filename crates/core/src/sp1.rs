@@ -11,18 +11,17 @@
 //!
 //! Two solvers are provided:
 //!
-//! * [`solve_direct`] eliminates `f` analytically (for a fixed `T`, the cheapest feasible
-//!   frequency is the smallest one meeting the deadline) and minimizes the resulting
-//!   one-dimensional convex function of `T` by golden-section search. This is the reference
-//!   solution.
+//! * [`solve_direct_with_arrays_in`] eliminates `f` analytically (for a fixed `T`, the
+//!   cheapest feasible frequency is the smallest one meeting the deadline) and minimizes the
+//!   resulting one-dimensional convex function of `T` by golden-section search. This is the
+//!   reference solution and the one Algorithm 2 calls.
 //! * [`solve_dual`] follows the paper: it maximizes the Lagrangian dual (17) over the scaled
 //!   simplex `{λ ≥ 0, Σ λ_n = w2·R_g}` by projected gradient ascent and recovers the primal
 //!   frequencies from equations (16) and (18). The two agree (tests cross-check them); the
 //!   dual path exists for fidelity to the paper and as an independent check.
 //!
-//! [`frequencies_for_deadline`] is the fixed-deadline variant used by the comparisons of
-//! Figures 7 and 8 (`w1 = 1, w2 = 0` with `T` given): it simply returns the cheapest feasible
-//! frequency per device.
+//! [`frequencies_for_deadline_into`] is the fixed-deadline variant (`T` given): it simply
+//! returns the cheapest feasible frequency per device.
 
 use crate::config::SolverConfig;
 use crate::error::CoreError;
@@ -57,7 +56,8 @@ impl Sp1WarmState {
     }
 }
 
-/// Relative slack allowed between the dual ([`solve_dual`]) and direct ([`solve_direct`])
+/// Relative slack allowed between the dual ([`solve_dual`]) and direct
+/// ([`solve_direct_with_arrays_in`])
 /// Subproblem-1 objectives before the cross-check fails.
 ///
 /// The direct path minimizes over `T` by a tolerance-bounded golden-section search, so the
@@ -125,35 +125,11 @@ fn frequency_for_deadline_raw(
     }
 }
 
-/// [`frequency_for_deadline_raw`] reading from a device profile.
-#[inline]
-fn frequency_for_deadline(dev: &flsys::DeviceProfile, rl: f64, deadline_s: f64, t_up: f64) -> f64 {
-    frequency_for_deadline_raw(
-        dev.cycles_per_local_iteration(),
-        dev.f_min.value(),
-        dev.f_max.value(),
-        rl,
-        deadline_s,
-        t_up,
-    )
-}
-
-/// The cheapest feasible frequency vector for a given round deadline `T` and uplink times:
+/// The cheapest feasible frequency vector for a given round deadline `T` and uplink times,
+/// written into a caller-owned buffer (cleared first):
 /// `f_n = clamp(R_l·c_n·D_n / (T − T_n^up), f_min, f_max)`.
 ///
 /// Devices whose uplink alone exceeds the deadline get `f_max` (best effort).
-pub fn frequencies_for_deadline(
-    scenario: &Scenario,
-    round_deadline_s: f64,
-    upload_times_s: &[f64],
-) -> Vec<f64> {
-    let mut out = Vec::with_capacity(scenario.devices.len());
-    frequencies_for_deadline_into(scenario, round_deadline_s, upload_times_s, &mut out);
-    out
-}
-
-/// [`frequencies_for_deadline`] into a caller-owned buffer (cleared first), for hot paths
-/// that reuse one allocation across calls.
 pub fn frequencies_for_deadline_into(
     scenario: &Scenario,
     round_deadline_s: f64,
@@ -162,13 +138,11 @@ pub fn frequencies_for_deadline_into(
 ) {
     let rl = scenario.params.rl();
     out.clear();
-    out.extend(
-        scenario
-            .devices
-            .iter()
-            .zip(upload_times_s)
-            .map(|(dev, &t_up)| frequency_for_deadline(dev, rl, round_deadline_s, t_up)),
-    );
+    out.extend(scenario.devices.iter().zip(upload_times_s).map(|(dev, &t_up)| {
+        let (cd, f_min, f_max) =
+            (dev.cycles_per_local_iteration(), dev.f_min.value(), dev.f_max.value());
+        frequency_for_deadline_raw(cd, f_min, f_max, rl, round_deadline_s, t_up)
+    }));
 }
 
 /// The smallest round time any frequency assignment can achieve given the uplink times
@@ -183,83 +157,29 @@ pub fn min_feasible_round_time(scenario: &Scenario, upload_times_s: &[f64]) -> f
         .fold(0.0, f64::max)
 }
 
-/// Solves Subproblem 1 exactly by reducing it to a one-dimensional convex search over `T`.
+/// Solves Subproblem 1 exactly by reducing it to a one-dimensional convex search over `T`,
+/// with the optimal frequencies written into a caller-owned buffer (cleared first) — the
+/// Algorithm-2 hot-path form.
+///
+/// The search is allocation-free: each golden-section probe walks the [`ScenarioArrays`]
+/// lanes (contiguous, bounds-check-free via `zip`) device by device instead of
+/// materialising a frequency vector per probe, and the per-device energy coefficient
+/// `κ·R_l·c_n·D_n` is hoisted out of the probe loop — staged in `frequencies_out` (pure
+/// scratch until the search ends) with the exact multiplication grouping of the unhoisted
+/// expression, so results stay bit-identical to it.
+///
+/// `warm` carries the previous solve's optimal `T` and, with [`SolverConfig::warm_start`]
+/// enabled, narrows the golden-section bracket to `[T/γ, T·γ] ∩ [T_min, T_max]` — the
+/// objective is unimodal in `T`, so an argmin strictly inside the narrowed bracket is the
+/// global one, and an argmin landing on a clipped bracket edge falls back to the full
+/// `[T_min, T_max]` search. A fresh [`Sp1WarmState`] (or warm start off) runs the cold
+/// full-bracket search. `probe_evals` accumulates the number of objective probes the search
+/// spends (the [`SolveCounters::sp1_probe_evals`](crate::SolveCounters) evidence).
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Model`] for a shape mismatch between `upload_times_s` and the
-/// scenario, or [`CoreError::Numerical`] if the scalar search fails.
-pub fn solve_direct(
-    scenario: &Scenario,
-    weights: Weights,
-    upload_times_s: &[f64],
-    config: &SolverConfig,
-) -> Result<Sp1Solution, CoreError> {
-    let mut frequencies_hz = Vec::with_capacity(scenario.devices.len());
-    let summary = solve_direct_in(scenario, weights, upload_times_s, config, &mut frequencies_hz)?;
-    Ok(Sp1Solution {
-        frequencies_hz,
-        round_time_s: summary.round_time_s,
-        objective: summary.objective,
-    })
-}
-
-/// [`solve_direct`] with the optimal frequencies written into a caller-owned buffer
-/// (cleared first), so the alternating outer loop can reuse one allocation per worker.
-///
-/// The search itself is allocation-free: each golden-section probe evaluates the objective
-/// device by device instead of materialising a frequency vector per probe (the old
-/// per-probe `Vec` was the hottest allocation site of the whole sweep), and the per-device
-/// energy coefficient `κ·R_l·c_n·D_n` is hoisted out of the probe loop — it is staged in
-/// `frequencies_out` (pure scratch until the search ends) rather than recomputed for every
-/// probe, with the exact multiplication grouping of the unhoisted expression so results
-/// stay bit-identical.
-///
-/// # Errors
-///
-/// Same as [`solve_direct`].
-pub fn solve_direct_in(
-    scenario: &Scenario,
-    weights: Weights,
-    upload_times_s: &[f64],
-    config: &SolverConfig,
-    frequencies_out: &mut Vec<f64>,
-) -> Result<Sp1Summary, CoreError> {
-    // Build a throwaway lane view (this convenience form allocates; the sweep hot path
-    // holds lanes in its workspace and calls `solve_direct_with_arrays_in` directly). A
-    // fresh (invalid) warm state keeps this entry bit-identical to the historical cold
-    // full-bracket search regardless of `config.warm_start`.
-    let arrays = ScenarioArrays::from_scenario(scenario);
-    let mut warm = Sp1WarmState::default();
-    let mut probes = 0u64;
-    solve_direct_with_arrays_in(
-        scenario,
-        &arrays,
-        weights,
-        upload_times_s,
-        &SolverConfig { warm_start: false, ..*config },
-        frequencies_out,
-        &mut warm,
-        &mut probes,
-    )
-}
-
-/// [`solve_direct_in`] over a caller-held lane view — the Algorithm-2 hot-path form.
-///
-/// Differences from the wrapper: the per-device reads of the probe loop walk the
-/// [`ScenarioArrays`] lanes (contiguous, bounds-check-free via `zip`); `warm` carries the
-/// previous solve's optimal `T` and, with [`SolverConfig::warm_start`] enabled, narrows the
-/// golden-section bracket to `[T/γ, T·γ] ∩ [T_min, T_max]` — the objective is unimodal in
-/// `T`, so an argmin strictly inside the narrowed bracket is the global one, and an argmin
-/// landing on a clipped bracket edge falls back to the full `[T_min, T_max]` search;
-/// `probe_evals` accumulates the number of objective probes the search spends (the
-/// [`SolveCounters::sp1_probe_evals`](crate::SolveCounters) evidence). With warm start off
-/// the search trajectory — and hence every result bit — matches the historical cold path.
-///
-/// # Errors
-///
-/// Same as [`solve_direct`], plus [`CoreError::Model`] if `arrays` does not match the
-/// scenario size.
+/// Returns [`CoreError::Model`] for a shape mismatch between `upload_times_s` or `arrays`
+/// and the scenario, or [`CoreError::Numerical`] if the scalar search fails.
 #[allow(clippy::too_many_arguments)]
 pub fn solve_direct_with_arrays_in(
     scenario: &Scenario,
@@ -335,7 +255,7 @@ pub fn solve_direct_with_arrays_in(
     let objective_of_t = |t: f64| {
         probes.set(probes.get() + 1);
         // Same per-device terms and summation order as `computation_energy_term` over
-        // `frequencies_for_deadline`, without the intermediate vector: one fused
+        // `frequencies_for_deadline_into`, without the intermediate vector: one fused
         // bounds-check-free walk over four read-only lanes.
         let mut energy = 0.0;
         let it = energy_coef
@@ -392,41 +312,25 @@ pub fn solve_direct_with_arrays_in(
 /// `{λ ≥ 0, Σ λ_n = w2·R_g}`, with `h = R_l (w1 κ R_g)^{1/3}`, then recover
 /// `f_n* = (λ_n / (2 w1 R_g κ))^{1/3}` clamped into the frequency box (equations (16), (18)).
 ///
+/// This path exists for fidelity to the paper and as an independent cross-check of
+/// [`solve_direct_with_arrays_in`]; it allocates and is never on the sweep hot path.
+///
 /// # Errors
 ///
-/// Returns [`CoreError::Model`] on a length mismatch. Falls back to [`solve_direct`]
-/// internally when a weight is exactly zero (the dual is degenerate there).
+/// Returns [`CoreError::Model`] on a length mismatch. Falls back to a cold
+/// [`solve_direct_with_arrays_in`] when a weight is exactly zero (the dual is degenerate
+/// there).
 pub fn solve_dual(
     scenario: &Scenario,
     weights: Weights,
     upload_times_s: &[f64],
     config: &SolverConfig,
 ) -> Result<Sp1Solution, CoreError> {
-    solve_dual_in(scenario, weights, upload_times_s, config, &mut Vec::new())
-}
-
-/// [`solve_dual`] with the `c_n·D_n` coefficient vector pooled through a caller-owned
-/// buffer (the [`SolverWorkspace::sp1_cd`](crate::SolverWorkspace) field is reserved for
-/// exactly this), so the dual reference path stops allocating that vector — and its
-/// historical per-closure clones of it and of the upload times — on every call. The ascent
-/// start vector and the projected-gradient internals still allocate; this path exists for
-/// fidelity and cross-checking, not for the sweep hot loop.
-///
-/// # Errors
-///
-/// Same as [`solve_dual`].
-pub fn solve_dual_in(
-    scenario: &Scenario,
-    weights: Weights,
-    upload_times_s: &[f64],
-    config: &SolverConfig,
-    cd_scratch: &mut Vec<f64>,
-) -> Result<Sp1Solution, CoreError> {
     check_lengths(scenario, upload_times_s)?;
     let w1 = weights.energy();
     let w2 = weights.time();
     if w1 == 0.0 || w2 == 0.0 {
-        return solve_direct(scenario, weights, upload_times_s, config);
+        return direct_cold(scenario, weights, upload_times_s, config);
     }
     let params = &scenario.params;
     let rg = params.rg();
@@ -435,9 +339,8 @@ pub fn solve_dual_in(
     let h = rl * (w1 * kappa * rg).powf(1.0 / 3.0);
     let coef: f64 = 2f64.powf(-2.0 / 3.0) + 2f64.powf(1.0 / 3.0);
 
-    cd_scratch.clear();
-    cd_scratch.extend(scenario.devices.iter().map(|d| d.cycles_per_local_iteration()));
-    let cd: &[f64] = cd_scratch;
+    let cd: Vec<f64> = scenario.devices.iter().map(|d| d.cycles_per_local_iteration()).collect();
+    let cd: &[f64] = &cd;
     let t_up = upload_times_s;
     let radius = w2 * rg;
     let n = scenario.devices.len();
@@ -480,6 +383,33 @@ pub fn solve_dual_in(
     Ok(Sp1Solution { frequencies_hz, round_time_s, objective })
 }
 
+/// A cold [`solve_direct_with_arrays_in`] (fresh lanes, fresh warm state) with owned
+/// frequencies.
+fn direct_cold(
+    scenario: &Scenario,
+    weights: Weights,
+    upload_times_s: &[f64],
+    config: &SolverConfig,
+) -> Result<Sp1Solution, CoreError> {
+    let arrays = ScenarioArrays::from_scenario(scenario);
+    let mut frequencies_hz = Vec::with_capacity(scenario.devices.len());
+    let summary = solve_direct_with_arrays_in(
+        scenario,
+        &arrays,
+        weights,
+        upload_times_s,
+        config,
+        &mut frequencies_hz,
+        &mut Sp1WarmState::default(),
+        &mut 0,
+    )?;
+    Ok(Sp1Solution {
+        frequencies_hz,
+        round_time_s: summary.round_time_s,
+        objective: summary.objective,
+    })
+}
+
 fn round_time(scenario: &Scenario, frequencies: &[f64], upload_times_s: &[f64]) -> f64 {
     let rl = scenario.params.rl();
     scenario
@@ -515,13 +445,19 @@ mod tests {
         vec![t; scenario.devices.len()]
     }
 
+    fn frequencies_for(scenario: &Scenario, deadline_s: f64, uploads: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        frequencies_for_deadline_into(scenario, deadline_s, uploads, &mut out);
+        out
+    }
+
     #[test]
     fn direct_beats_or_matches_naive_choices() {
         let s = scenario(10);
         let cfg = SolverConfig::default();
         let uploads = uniform_uploads(&s, 0.01);
         let w = Weights::balanced();
-        let sol = solve_direct(&s, w, &uploads, &cfg).unwrap();
+        let sol = direct_cold(&s, w, &uploads, &cfg).unwrap();
 
         // Compare against running everything at f_max and at f_min.
         for f_choice in ["max", "min"] {
@@ -546,7 +482,7 @@ mod tests {
         let s = scenario(20);
         let cfg = SolverConfig::default();
         let uploads = uniform_uploads(&s, 0.02);
-        let sol = solve_direct(&s, Weights::new(0.7, 0.3).unwrap(), &uploads, &cfg).unwrap();
+        let sol = direct_cold(&s, Weights::new(0.7, 0.3).unwrap(), &uploads, &cfg).unwrap();
         for (dev, &f) in s.devices.iter().zip(&sol.frequencies_hz) {
             assert!(f >= dev.f_min.value() - 1.0 && f <= dev.f_max.value() + 1.0);
         }
@@ -563,11 +499,11 @@ mod tests {
         let s = scenario(5);
         let cfg = SolverConfig::default();
         let uploads = uniform_uploads(&s, 0.01);
-        let energy_only = solve_direct(&s, Weights::energy_only(), &uploads, &cfg).unwrap();
+        let energy_only = direct_cold(&s, Weights::energy_only(), &uploads, &cfg).unwrap();
         for (dev, &f) in s.devices.iter().zip(&energy_only.frequencies_hz) {
             assert_eq!(f, dev.f_min.value());
         }
-        let time_only = solve_direct(&s, Weights::time_only(), &uploads, &cfg).unwrap();
+        let time_only = direct_cold(&s, Weights::time_only(), &uploads, &cfg).unwrap();
         for (dev, &f) in s.devices.iter().zip(&time_only.frequencies_hz) {
             assert_eq!(f, dev.f_max.value());
         }
@@ -579,8 +515,8 @@ mod tests {
         let s = scenario(15);
         let cfg = SolverConfig::default();
         let uploads = uniform_uploads(&s, 0.015);
-        let slow = solve_direct(&s, Weights::new(0.9, 0.1).unwrap(), &uploads, &cfg).unwrap();
-        let fast = solve_direct(&s, Weights::new(0.1, 0.9).unwrap(), &uploads, &cfg).unwrap();
+        let slow = direct_cold(&s, Weights::new(0.9, 0.1).unwrap(), &uploads, &cfg).unwrap();
+        let fast = direct_cold(&s, Weights::new(0.1, 0.9).unwrap(), &uploads, &cfg).unwrap();
         assert!(fast.round_time_s <= slow.round_time_s + 1e-9);
         let e = |sol: &Sp1Solution| computation_energy_term(&s, &sol.frequencies_hz);
         assert!(e(&fast) >= e(&slow) - 1e-12);
@@ -600,7 +536,7 @@ mod tests {
         let cfg = SolverConfig::default();
         let uploads = uniform_uploads(&s, 0.01);
         let w = Weights::balanced();
-        let direct = solve_direct(&s, w, &uploads, &cfg).unwrap();
+        let direct = direct_cold(&s, w, &uploads, &cfg).unwrap();
         let dual = solve_dual(&s, w, &uploads, &cfg).unwrap();
         let rel = (dual.objective - direct.objective).abs() / direct.objective;
         assert!(rel < 0.05, "dual {} vs direct {} (rel {rel})", dual.objective, direct.objective);
@@ -615,7 +551,7 @@ mod tests {
         let s = scenario(12);
         let uploads = uniform_uploads(&s, 0.01);
         let deadline = 0.3;
-        let freqs = frequencies_for_deadline(&s, deadline, &uploads);
+        let freqs = frequencies_for(&s, deadline, &uploads);
         let rl = s.params.rl();
         for (i, dev) in s.devices.iter().enumerate() {
             let t = uploads[i] + rl * dev.cycles_per_local_iteration() / freqs[i];
@@ -628,7 +564,7 @@ mod tests {
     fn impossible_deadline_returns_fmax() {
         let s = scenario(4);
         let uploads = uniform_uploads(&s, 1.0);
-        let freqs = frequencies_for_deadline(&s, 0.5, &uploads); // uplink alone exceeds deadline
+        let freqs = frequencies_for(&s, 0.5, &uploads); // uplink alone exceeds deadline
         for (dev, f) in s.devices.iter().zip(freqs) {
             assert_eq!(f, dev.f_max.value());
         }
@@ -638,7 +574,7 @@ mod tests {
     fn length_mismatch_is_an_error() {
         let s = scenario(3);
         let cfg = SolverConfig::default();
-        let err = solve_direct(&s, Weights::balanced(), &[0.01, 0.01], &cfg).unwrap_err();
+        let err = direct_cold(&s, Weights::balanced(), &[0.01, 0.01], &cfg).unwrap_err();
         assert!(matches!(err, CoreError::Model(_)));
     }
 
@@ -649,7 +585,7 @@ mod tests {
         let t_min = min_feasible_round_time(&s, &uploads);
         let cfg = SolverConfig::default();
         for w in Weights::paper_sweep() {
-            let sol = solve_direct(&s, w, &uploads, &cfg).unwrap();
+            let sol = direct_cold(&s, w, &uploads, &cfg).unwrap();
             assert!(sol.round_time_s >= t_min - 1e-9);
         }
     }
@@ -662,25 +598,27 @@ mod tests {
         let uploads = uniform_uploads(&s, 0.012);
         let w = Weights::new(0.6, 0.4).unwrap();
 
-        let mut wrapper_freqs = Vec::new();
-        let wrapper = solve_direct_in(&s, w, &uploads, &cfg, &mut wrapper_freqs).unwrap();
-
-        let mut lane_freqs = Vec::new();
-        let mut warm = Sp1WarmState::default();
         let mut probes = 0u64;
-        let lanes = solve_direct_with_arrays_in(
-            &s,
-            &arrays,
-            w,
-            &uploads,
-            &cfg,
-            &mut lane_freqs,
-            &mut warm,
-            &mut probes,
-        )
-        .unwrap();
-        assert_eq!(wrapper, lanes);
-        assert_eq!(wrapper_freqs, lane_freqs);
+        let mut solve_from = |warm: &mut Sp1WarmState| {
+            let mut freqs = Vec::new();
+            let out = solve_direct_with_arrays_in(
+                &s,
+                &arrays,
+                w,
+                &uploads,
+                &cfg,
+                &mut freqs,
+                warm,
+                &mut probes,
+            )
+            .unwrap();
+            (out, freqs)
+        };
+        let fresh = solve_from(&mut Sp1WarmState::default());
+        // With warm start off a carried (even wildly stale) seed is never read.
+        let stale =
+            solve_from(&mut Sp1WarmState { t_prev: fresh.0.round_time_s * 50.0, valid: true });
+        assert_eq!(fresh, stale);
         assert!(probes > 0, "the probe counter must observe the search");
     }
 
@@ -696,46 +634,25 @@ mod tests {
         let nearby = uniform_uploads(&s, 0.0153);
 
         let mut freqs = Vec::new();
+        let mut solve = |uploads: &[f64], cfg: &SolverConfig, warm: &mut Sp1WarmState| {
+            let mut probes = 0u64;
+            let out = solve_direct_with_arrays_in(
+                &s,
+                &arrays,
+                w,
+                uploads,
+                cfg,
+                &mut freqs,
+                warm,
+                &mut probes,
+            )
+            .unwrap();
+            (out, probes)
+        };
         let mut warm = Sp1WarmState::default();
-        let mut warm_probes = 0u64;
-        solve_direct_with_arrays_in(
-            &s,
-            &arrays,
-            w,
-            &uploads,
-            &warm_cfg,
-            &mut freqs,
-            &mut warm,
-            &mut warm_probes,
-        )
-        .unwrap();
-        let seeded_before = warm_probes;
-        let warm_sol = solve_direct_with_arrays_in(
-            &s,
-            &arrays,
-            w,
-            &nearby,
-            &warm_cfg,
-            &mut freqs,
-            &mut warm,
-            &mut warm_probes,
-        )
-        .unwrap();
-        let warm_second = warm_probes - seeded_before;
-
-        let mut cold_state = Sp1WarmState::default();
-        let mut cold_probes = 0u64;
-        let cold_sol = solve_direct_with_arrays_in(
-            &s,
-            &arrays,
-            w,
-            &nearby,
-            &cold_cfg,
-            &mut freqs,
-            &mut cold_state,
-            &mut cold_probes,
-        )
-        .unwrap();
+        solve(&uploads, &warm_cfg, &mut warm);
+        let (warm_sol, warm_second) = solve(&nearby, &warm_cfg, &mut warm);
+        let (cold_sol, cold_probes) = solve(&nearby, &cold_cfg, &mut Sp1WarmState::default());
 
         assert!(
             warm_second < cold_probes,
@@ -752,18 +669,7 @@ mod tests {
         // A wildly stale seed must fall back to the full bracket and still land on the
         // cold optimum (edge-hit detection), not silently return a clipped-bracket argmin.
         let mut stale = Sp1WarmState { t_prev: cold_sol.round_time_s * 50.0, valid: true };
-        let mut stale_probes = 0u64;
-        let stale_sol = solve_direct_with_arrays_in(
-            &s,
-            &arrays,
-            w,
-            &nearby,
-            &warm_cfg,
-            &mut freqs,
-            &mut stale,
-            &mut stale_probes,
-        )
-        .unwrap();
+        let (stale_sol, _) = solve(&nearby, &warm_cfg, &mut stale);
         let rel = (stale_sol.objective - cold_sol.objective).abs() / cold_sol.objective;
         assert!(rel <= 1e-6, "stale seed must re-search in full (rel {rel})");
     }

@@ -50,7 +50,7 @@ pub(crate) struct LpEntry {
 
 /// Reusable scratch buffers of the Theorem-2 KKT construction.
 ///
-/// Every buffer is pure scratch: [`solve_parametric`] overwrites the contents on entry and
+/// Every buffer is pure scratch: [`solve_parametric_into`] overwrites the contents on entry and
 /// never reads state left by a previous call, so one instance can be reused across
 /// arbitrarily many solves (and across scenarios of different device counts — the buffers
 /// are resized per call). Reuse only saves the allocations.
@@ -115,35 +115,17 @@ impl KktScratch {
 }
 
 /// Solves the parametric subproblem `SP2_v2` for fixed `(ν, β)` via the Theorem-2
-/// construction.
-///
-/// Allocating convenience form of [`solve_parametric_into`].
-///
-/// # Errors
-///
-/// Returns an error if the Lambert-W evaluation or the `μ` bisection fails on non-finite
-/// inputs; callers treat that as "fall back to the reference solver".
-pub fn solve_parametric(
-    problem: &Sp2Problem<'_>,
-    nu: &[f64],
-    beta: &[f64],
-) -> Result<PowerBandwidth, NumError> {
-    let mut point = PowerBandwidth::new(Vec::new(), Vec::new());
-    solve_parametric_into(problem, nu, beta, &mut point)?;
-    Ok(point)
-}
-
-/// [`solve_parametric`] into a caller-owned point — the allocation-free hot-path form.
+/// construction, into a caller-owned point — the allocation-free hot-path form.
 ///
 /// `out` is pure scratch: whatever it holds on entry (any device count, any values) is
 /// discarded, its vectors are resized to the scenario and every entry is written before the
 /// final sanitize pass reads it. Together with the pooled [`KktScratch`] buffers this makes
-/// the whole Theorem-2 construction allocation-free in steady state; results are
-/// bit-identical to [`solve_parametric`].
+/// the whole Theorem-2 construction allocation-free in steady state.
 ///
 /// # Errors
 ///
-/// Same as [`solve_parametric`].
+/// Returns an error if the Lambert-W evaluation or the `μ` root search fails on non-finite
+/// inputs; callers treat that as "fall back to the reference solver".
 pub fn solve_parametric_into(
     problem: &Sp2Problem<'_>,
     nu: &[f64],
@@ -490,6 +472,13 @@ mod tests {
         (nu, beta)
     }
 
+    /// The Theorem-2 point for `(ν, β)`, solved into a fresh buffer.
+    fn kkt_point(problem: &Sp2Problem<'_>, nu: &[f64], beta: &[f64]) -> PowerBandwidth {
+        let mut point = PowerBandwidth::default();
+        solve_parametric_into(problem, nu, beta, &mut point).unwrap();
+        point
+    }
+
     #[test]
     fn parametric_solution_is_feasible() {
         let (s, arrays, cfg, r_min) = problem_fixture(10, 11, 0.05);
@@ -497,7 +486,7 @@ mod tests {
         let a = Allocation::equal_split_max(&s);
         let start = PowerBandwidth::new(a.powers_w, a.bandwidths_hz);
         let (nu, beta) = nominal_multipliers(&problem, &start);
-        let point = solve_parametric(&problem, &nu, &beta).unwrap();
+        let point = kkt_point(&problem, &nu, &beta);
 
         let b_sum: f64 = point.bandwidths_hz.iter().sum();
         assert!(b_sum <= s.params.total_bandwidth.value() * (1.0 + 1e-6));
@@ -526,7 +515,7 @@ mod tests {
                 .map(|i| nu[i] * (problem.numerator(i, pt) - beta[i] * problem.denominator(i, pt)))
                 .sum()
         };
-        let point = solve_parametric(&problem, &nu, &beta).unwrap();
+        let point = kkt_point(&problem, &nu, &beta);
         assert!(
             parametric(&point) <= parametric(&start) + 1e-9,
             "kkt point {} should improve on start {}",
@@ -551,7 +540,7 @@ mod tests {
         let a = Allocation::equal_split_max(&s);
         let start = PowerBandwidth::new(a.powers_w, a.bandwidths_hz);
         let (nu, beta) = nominal_multipliers(&problem, &start);
-        let point = solve_parametric(&problem, &nu, &beta).unwrap();
+        let point = kkt_point(&problem, &nu, &beta);
         let n0 = s.params.noise.watts_per_hz();
         let mut tight = 0;
         for (i, dev) in s.devices.iter().enumerate() {
@@ -573,7 +562,7 @@ mod tests {
         let a = Allocation::equal_split_max(&s);
         let start = PowerBandwidth::new(a.powers_w, a.bandwidths_hz);
         let (nu, beta) = nominal_multipliers(&problem, &start);
-        let point = solve_parametric(&problem, &nu, &beta).unwrap();
+        let point = kkt_point(&problem, &nu, &beta);
         let b_sum: f64 = point.bandwidths_hz.iter().sum();
         assert!(b_sum <= s.params.total_bandwidth.value() * (1.0 + 1e-6));
         assert!(b_sum > 0.0);
@@ -586,7 +575,7 @@ mod tests {
         let a = Allocation::equal_split_max(&s);
         let start = PowerBandwidth::new(a.powers_w, a.bandwidths_hz);
         let (nu, beta) = nominal_multipliers(&problem, &start);
-        let fresh = solve_parametric(&problem, &nu, &beta).unwrap();
+        let fresh = kkt_point(&problem, &nu, &beta);
 
         // A wrongly-sized, garbage-filled output point must be overwritten completely.
         let mut dirty = PowerBandwidth::new(vec![f64::NAN; 3], vec![-1.0; 17]);
@@ -633,7 +622,7 @@ mod tests {
         let a = Allocation::equal_split_max(&s);
         let start = PowerBandwidth::new(a.powers_w, a.bandwidths_hz);
         let (nu, beta) = nominal_multipliers(&problem, &start);
-        let point = solve_parametric(&problem, &nu, &beta).unwrap();
+        let point = kkt_point(&problem, &nu, &beta);
         let b_total = s.params.total_bandwidth.value();
         let b_sum: f64 = point.bandwidths_hz.iter().sum();
         assert!(

@@ -72,12 +72,12 @@ impl PowerBandwidth {
 /// loop's multiplier/history vectors, the double-buffered `(p, B)` points, and the
 /// reference solver's working set.
 ///
-/// Everything is pure scratch in the [`crate::workspace`] sense — [`solve_in`] overwrites
-/// or clears each buffer before reading it and resizes per scenario, so one instance serves
-/// scenarios of any device count back to back and only capacity survives. The one
-/// flow-contract exception is the staged point: the caller stages the starting `(p, B)`
-/// with [`Sp2Scratch::stage_start`] immediately before [`solve_in`], and reads the solution
-/// back through [`Sp2Scratch::solution`] immediately after.
+/// Everything is pure scratch in the [`crate::workspace`] sense — [`solve_with_arrays_in`]
+/// overwrites or clears each buffer before reading it and resizes per scenario, so one
+/// instance serves scenarios of any device count back to back and only capacity survives.
+/// The one flow-contract exception is the staged point: the caller stages the starting
+/// `(p, B)` with [`Sp2Scratch::stage_start`] immediately before [`solve_with_arrays_in`],
+/// and reads the solution back through [`Sp2Scratch::solution`] immediately after.
 ///
 /// With [`SolverConfig::warm_start`] enabled, three more pieces deliberately survive
 /// between solves and seed the next one: the Newton-like loop's converged `(β, ν)` (in the
@@ -89,10 +89,6 @@ impl PowerBandwidth {
 pub struct Sp2Scratch {
     /// Scratch of the Theorem-2 KKT construction (the parametric inner solver).
     pub kkt: KktScratch,
-    /// Struct-of-arrays lanes of the current scenario, rebuilt (capacity-reusing) by
-    /// [`solve_in`] on entry. Callers that already hold lanes skip the rebuild via
-    /// [`solve_with_arrays_in`].
-    arrays: ScenarioArrays,
     /// Scratch of the Newton-like outer loop (the paper's Algorithm 1).
     jong: JongScratch,
     /// Start point in / solution out; doubles as the outer loop's primary point buffer.
@@ -118,8 +114,8 @@ impl Sp2Scratch {
         Self::default()
     }
 
-    /// Stages the starting `(p, B)` point for the next [`solve_in`] call (overwriting
-    /// whatever point a previous solve left behind).
+    /// Stages the starting `(p, B)` point for the next [`solve_with_arrays_in`] call
+    /// (overwriting whatever point a previous solve left behind).
     ///
     /// Warm-started callers (Algorithm 2 with [`SolverConfig::warm_start`]) skip this
     /// between consecutive solves of the same scenario: the previous solution is already
@@ -131,7 +127,7 @@ impl Sp2Scratch {
         self.point.bandwidths_hz.extend_from_slice(bandwidths_hz);
     }
 
-    /// The solution point left behind by the last successful [`solve_in`] call.
+    /// The solution point left behind by the last successful [`solve_with_arrays_in`] call.
     pub fn solution(&self) -> &PowerBandwidth {
         &self.point
     }
@@ -147,8 +143,8 @@ impl Sp2Scratch {
     }
 }
 
-/// The scalar outcome of an in-place Subproblem-2 solve ([`solve_in`]); the solution point
-/// stays in the [`Sp2Scratch`].
+/// The scalar outcome of a Subproblem-2 solve ([`solve_with_arrays_in`]); the solution
+/// point stays in the [`Sp2Scratch`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sp2Summary {
     /// Per-round communication energy `Σ_n p_n d_n / r_n` at the solution (J), *not* scaled
@@ -173,24 +169,6 @@ pub struct Sp2Summary {
     pub lp_sorts: u64,
 }
 
-/// Result of a Subproblem-2 solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sp2Solution {
-    /// Optimal transmit power per device (W).
-    pub powers_w: Vec<f64>,
-    /// Optimal bandwidth per device (Hz).
-    pub bandwidths_hz: Vec<f64>,
-    /// Per-round communication energy `Σ_n p_n d_n / r_n` at the solution (J), *not* scaled
-    /// by `w1 R_g`.
-    pub comm_energy_per_round_j: f64,
-    /// Whether the Newton-like outer loop reported convergence.
-    pub converged: bool,
-    /// Outer (Algorithm-1) iterations used.
-    pub iterations: usize,
-    /// `true` when the reference polish replaced the Newton-like solution.
-    pub polished: bool,
-}
-
 /// The Subproblem-2 instance handed to the sum-of-ratios machinery.
 pub struct Sp2Problem<'a> {
     scenario: &'a Scenario,
@@ -203,7 +181,7 @@ pub struct Sp2Problem<'a> {
     /// Per-device minimum rate `r_n^min` (bit/s); `0` disables the rate constraint.
     r_min_bps: &'a [f64],
     config: &'a SolverConfig,
-    /// KKT scratch buffers shared by every [`kkt::solve_parametric`] call on this instance
+    /// KKT scratch buffers shared by every [`kkt::solve_parametric_into`] call on this instance
     /// (the Newton-like outer loop makes dozens). `RefCell` because the `FractionalProblem`
     /// trait hands the problem out by shared reference; `Sp2Problem` is not `Sync` and is
     /// never shared across threads.
@@ -245,7 +223,7 @@ impl<'a> Sp2Problem<'a> {
         Ok(Self { scenario, arrays, weight, r_min_bps, config, scratch: RefCell::default() })
     }
 
-    /// Mutable access to the KKT scratch buffers (for [`kkt::solve_parametric`]).
+    /// Mutable access to the KKT scratch buffers (for [`kkt::solve_parametric_into`]).
     pub(crate) fn scratch_mut(&self) -> std::cell::RefMut<'_, KktScratch> {
         self.scratch.borrow_mut()
     }
@@ -354,10 +332,6 @@ impl FractionalProblem for Sp2Problem<'_> {
         self.rate(i, x)
     }
 
-    fn solve_parametric(&self, nu: &[f64], beta: &[f64]) -> Result<PowerBandwidth, NumError> {
-        kkt::solve_parametric(self, nu, beta)
-    }
-
     fn solve_parametric_into(
         &self,
         nu: &[f64],
@@ -368,97 +342,23 @@ impl FractionalProblem for Sp2Problem<'_> {
     }
 }
 
-/// Solves Subproblem 2 starting from a feasible `(p, B)` point.
+/// Solves Subproblem 2 from the point staged via [`Sp2Scratch::stage_start`] and leaves the
+/// solution in [`Sp2Scratch::solution`], performing **zero heap allocations in steady
+/// state** (after the scratch buffers have grown to the scenario's device count once).
 ///
 /// Runs the paper's Algorithm 1 (Newton-like sum-of-ratios loop with the Theorem-2 KKT inner
 /// solver). When [`SolverConfig::polish_with_reference`] is enabled the result is compared
 /// against the direct reference solver on the true communication energy and the better point
-/// is returned.
+/// is kept. `arrays` is the caller-held lane view of `scenario` (same devices, same order):
+/// Algorithm 2 builds it once per scenario and reuses it across every outer iteration.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Model`] for shape mismatches and [`CoreError::Numerical`] if both the
-/// Newton-like path and the reference solver fail.
+/// Returns [`CoreError::Model`] for shape mismatches (`r_min_bps` or `arrays` against the
+/// scenario) and [`CoreError::SolverFailure`] if both the Newton-like path and the
+/// reference solver fail. On error the staged point's contents are unspecified.
 ///
 /// [`SolverConfig::polish_with_reference`]: crate::SolverConfig
-pub fn solve(
-    scenario: &Scenario,
-    weights: Weights,
-    r_min_bps: &[f64],
-    initial: PowerBandwidth,
-    config: &SolverConfig,
-) -> Result<Sp2Solution, CoreError> {
-    solve_scratch(scenario, weights, r_min_bps, initial, config, &mut KktScratch::default())
-}
-
-/// [`solve`] with caller-owned KKT scratch buffers, so repeated solves reuse the KKT
-/// allocations. Superseded on the sweep hot path by [`solve_in`], which additionally pools
-/// the outer loop's buffers and the `(p, B)` points; this form is kept for callers that
-/// want an owned [`Sp2Solution`] without managing a full [`Sp2Scratch`].
-///
-/// # Errors
-///
-/// Same as [`solve`].
-pub fn solve_scratch(
-    scenario: &Scenario,
-    weights: Weights,
-    r_min_bps: &[f64],
-    initial: PowerBandwidth,
-    config: &SolverConfig,
-    scratch: &mut KktScratch,
-) -> Result<Sp2Solution, CoreError> {
-    let mut sp2_scratch = Sp2Scratch::default();
-    std::mem::swap(&mut sp2_scratch.kkt, scratch);
-    sp2_scratch.point = initial;
-    let result = solve_in(scenario, weights, r_min_bps, config, &mut sp2_scratch);
-    std::mem::swap(&mut sp2_scratch.kkt, scratch);
-    let summary = result?;
-    let PowerBandwidth { powers_w, bandwidths_hz } = sp2_scratch.point;
-    Ok(Sp2Solution {
-        powers_w,
-        bandwidths_hz,
-        comm_energy_per_round_j: summary.comm_energy_per_round_j,
-        converged: summary.converged,
-        iterations: summary.iterations,
-        polished: summary.polished,
-    })
-}
-
-/// The all-scratch Subproblem-2 entry point: solves from the point staged via
-/// [`Sp2Scratch::stage_start`] and leaves the solution in [`Sp2Scratch::solution`],
-/// performing **zero heap allocations in steady state** (after the scratch buffers have
-/// grown to the scenario's device count once). Results are bit-identical to [`solve`] /
-/// [`solve_scratch`] — same arithmetic, same order, different buffer ownership.
-///
-/// # Errors
-///
-/// Same as [`solve`]. On error the staged point's contents are unspecified.
-pub fn solve_in(
-    scenario: &Scenario,
-    weights: Weights,
-    r_min_bps: &[f64],
-    config: &SolverConfig,
-    scratch: &mut Sp2Scratch,
-) -> Result<Sp2Summary, CoreError> {
-    // Rebuild the lane view in place (capacity-reusing: zero allocations at steady state)
-    // and delegate; `mem::take` sidesteps the simultaneous &scratch.arrays / &mut scratch
-    // borrow, and the lanes are restored even on error.
-    let mut arrays = std::mem::take(&mut scratch.arrays);
-    arrays.rebuild(scenario);
-    let result = solve_with_arrays_in(scenario, &arrays, weights, r_min_bps, config, scratch);
-    scratch.arrays = arrays;
-    result
-}
-
-/// [`solve_in`] over a caller-held lane view ([`ScenarioArrays`]), skipping the per-call
-/// lane rebuild — the Algorithm-2 hot path builds the lanes once per scenario and reuses
-/// them across every outer iteration. `arrays` must describe `scenario` (same devices,
-/// same order); results are bit-identical to [`solve_in`].
-///
-/// # Errors
-///
-/// Same as [`solve`], plus [`CoreError::Model`] if `arrays` does not match the scenario
-/// size.
 pub fn solve_with_arrays_in(
     scenario: &Scenario,
     arrays: &ScenarioArrays,
@@ -594,6 +494,32 @@ mod tests {
         PowerBandwidth::new(a.powers_w, a.bandwidths_hz)
     }
 
+    /// Solves from `start` on a fresh scratch: the summary and the solution point.
+    fn solve(
+        s: &Scenario,
+        weights: Weights,
+        r_min: &[f64],
+        start: &PowerBandwidth,
+        cfg: &SolverConfig,
+    ) -> Result<(Sp2Summary, PowerBandwidth), CoreError> {
+        let mut scratch = Sp2Scratch::new();
+        scratch.stage_start(&start.powers_w, &start.bandwidths_hz);
+        let summary = solve_staged(s, weights, r_min, cfg, &mut scratch)?;
+        Ok((summary, scratch.solution().clone()))
+    }
+
+    /// [`solve_with_arrays_in`] from the point already staged in `scratch`.
+    fn solve_staged(
+        s: &Scenario,
+        weights: Weights,
+        r_min: &[f64],
+        cfg: &SolverConfig,
+        scratch: &mut Sp2Scratch,
+    ) -> Result<Sp2Summary, CoreError> {
+        let arrays = ScenarioArrays::from_scenario(s);
+        solve_with_arrays_in(s, &arrays, weights, r_min, cfg, scratch)
+    }
+
     fn loose_r_min(s: &Scenario) -> Vec<f64> {
         // A rate floor that equal-split max power comfortably exceeds.
         vec![1.0e5; s.devices.len()]
@@ -607,7 +533,7 @@ mod tests {
         let r_min = loose_r_min(&s);
         let problem = Sp2Problem::new(&s, &arrays, Weights::balanced(), &r_min, &cfg).unwrap();
         let start_energy = problem.comm_energy(&start);
-        let sol = solve(&s, Weights::balanced(), &r_min, start, &cfg).unwrap();
+        let (sol, _) = solve(&s, Weights::balanced(), &r_min, &start, &cfg).unwrap();
         assert!(
             sol.comm_energy_per_round_j <= start_energy * (1.0 + 1e-9),
             "sp2 {} should not exceed start {}",
@@ -619,7 +545,8 @@ mod tests {
     #[test]
     fn solution_is_feasible() {
         let (s, cfg) = setup(12, 2);
-        let sol = solve(&s, Weights::balanced(), &loose_r_min(&s), equal_start(&s), &cfg).unwrap();
+        let (_, sol) =
+            solve(&s, Weights::balanced(), &loose_r_min(&s), &equal_start(&s), &cfg).unwrap();
         let b_sum: f64 = sol.bandwidths_hz.iter().sum();
         assert!(b_sum <= s.params.total_bandwidth.value() * (1.0 + 1e-6));
         for (i, dev) in s.devices.iter().enumerate() {
@@ -634,7 +561,7 @@ mod tests {
         let (s, cfg) = setup(8, 3);
         // Moderate rate floor: 28.1 kbit in at most 50 ms.
         let r_min: Vec<f64> = s.devices.iter().map(|d| d.upload_bits / 0.05).collect();
-        let sol = solve(&s, Weights::balanced(), &r_min, equal_start(&s), &cfg).unwrap();
+        let (_, sol) = solve(&s, Weights::balanced(), &r_min, &equal_start(&s), &cfg).unwrap();
         let n0 = s.params.noise.watts_per_hz();
         for (i, dev) in s.devices.iter().enumerate() {
             let rate =
@@ -662,12 +589,19 @@ mod tests {
         let start = equal_start(&s);
 
         let cfg_newton = SolverConfig { polish_with_reference: false, ..SolverConfig::default() };
-        let newton = solve(&s, Weights::balanced(), &r_min, start.clone(), &cfg_newton).unwrap();
+        let (newton, _) = solve(&s, Weights::balanced(), &r_min, &start, &cfg_newton).unwrap();
 
         let cfg = SolverConfig::default();
         let arrays = ScenarioArrays::from_scenario(&s);
         let problem = Sp2Problem::new(&s, &arrays, Weights::balanced(), &r_min, &cfg).unwrap();
-        let reference = reference::solve_reference(&problem, &start).unwrap();
+        let mut reference = PowerBandwidth::default();
+        reference::solve_reference_into(
+            &problem,
+            &mut reference,
+            &mut Vec::new(),
+            &mut reference::ReferenceWarmState::default(),
+        )
+        .unwrap();
         let ref_energy = problem.comm_energy(&reference);
 
         let ratio = newton.comm_energy_per_round_j / ref_energy;
@@ -682,7 +616,7 @@ mod tests {
     #[test]
     fn mismatched_r_min_length_is_error() {
         let (s, cfg) = setup(4, 5);
-        let err = solve(&s, Weights::balanced(), &[1.0; 3], equal_start(&s), &cfg).unwrap_err();
+        let err = solve(&s, Weights::balanced(), &[1.0; 3], &equal_start(&s), &cfg).unwrap_err();
         assert!(matches!(err, CoreError::Model(_)));
     }
 
@@ -711,13 +645,13 @@ mod tests {
         let mut scratch = Sp2Scratch::new();
         let start = equal_start(&s);
         scratch.stage_start(&start.powers_w, &start.bandwidths_hz);
-        let first = solve_in(&s, Weights::balanced(), &r_min, &cfg, &mut scratch).unwrap();
+        let first = solve_staged(&s, Weights::balanced(), &r_min, &cfg, &mut scratch).unwrap();
         assert!(!first.fast_path);
         assert!(first.kkt_solves >= 1);
 
         // Same floors, solution still staged: the carried multipliers satisfy phi at the
         // staged point, so the whole Newton loop (and the polish) is skipped.
-        let second = solve_in(&s, Weights::balanced(), &r_min, &cfg, &mut scratch).unwrap();
+        let second = solve_staged(&s, Weights::balanced(), &r_min, &cfg, &mut scratch).unwrap();
         assert!(second.fast_path, "expected the fast path on an unchanged problem");
         assert_eq!(second.iterations, 0);
         assert_eq!(second.kkt_solves, 0);
@@ -725,13 +659,13 @@ mod tests {
 
         // Moving the rate floors beyond warm_rmin_tol must disarm the fast path.
         let moved: Vec<f64> = r_min.iter().map(|r| r * 1.05).collect();
-        let third = solve_in(&s, Weights::balanced(), &moved, &cfg, &mut scratch).unwrap();
+        let third = solve_staged(&s, Weights::balanced(), &moved, &cfg, &mut scratch).unwrap();
         assert!(!third.fast_path, "5% floor move must force a real solve");
 
         // And a warm-state reset restores cold-start behaviour entirely.
         scratch.reset_warm_start();
         scratch.stage_start(&start.powers_w, &start.bandwidths_hz);
-        let fourth = solve_in(&s, Weights::balanced(), &r_min, &cfg, &mut scratch).unwrap();
+        let fourth = solve_staged(&s, Weights::balanced(), &r_min, &cfg, &mut scratch).unwrap();
         assert!(!fourth.fast_path);
         assert!(fourth.iterations >= 1);
     }
@@ -746,15 +680,17 @@ mod tests {
         let mut cold_scratch = Sp2Scratch::new();
         let start = equal_start(&s);
         cold_scratch.stage_start(&start.powers_w, &start.bandwidths_hz);
-        let cold = solve_in(&s, Weights::balanced(), &r_min, &cold_cfg, &mut cold_scratch).unwrap();
+        let cold =
+            solve_staged(&s, Weights::balanced(), &r_min, &cold_cfg, &mut cold_scratch).unwrap();
 
         // Dirty the warm scratch with a neighbouring problem first, then solve the real one:
         // the carried multipliers/brackets must not pull the result off the fixed point.
         let mut warm_scratch = Sp2Scratch::new();
         let near: Vec<f64> = r_min.iter().map(|r| r * 1.02).collect();
         warm_scratch.stage_start(&start.powers_w, &start.bandwidths_hz);
-        solve_in(&s, Weights::balanced(), &near, &warm_cfg, &mut warm_scratch).unwrap();
-        let warm = solve_in(&s, Weights::balanced(), &r_min, &warm_cfg, &mut warm_scratch).unwrap();
+        solve_staged(&s, Weights::balanced(), &near, &warm_cfg, &mut warm_scratch).unwrap();
+        let warm =
+            solve_staged(&s, Weights::balanced(), &r_min, &warm_cfg, &mut warm_scratch).unwrap();
 
         let rel = (warm.comm_energy_per_round_j - cold.comm_energy_per_round_j).abs()
             / cold.comm_energy_per_round_j;
@@ -781,7 +717,8 @@ mod tests {
             for window in [0.050, 0.0502, 0.0504] {
                 let floors: Vec<f64> = s.devices.iter().map(|d| d.upload_bits / window).collect();
                 scratch.stage_start(&start.powers_w, &start.bandwidths_hz);
-                let out = solve_in(&s, Weights::balanced(), &floors, cfg, &mut scratch).unwrap();
+                let out =
+                    solve_staged(&s, Weights::balanced(), &floors, cfg, &mut scratch).unwrap();
                 mu += out.mu_bisect_evals;
                 kkt += out.kkt_solves;
             }
@@ -801,11 +738,13 @@ mod tests {
         let (s, cfg) = setup(10, 7);
         let loose: Vec<f64> = s.devices.iter().map(|d| d.upload_bits / 0.2).collect();
         let tight: Vec<f64> = s.devices.iter().map(|d| d.upload_bits / 0.01).collect();
-        let e_loose = solve(&s, Weights::balanced(), &loose, equal_start(&s), &cfg)
+        let e_loose = solve(&s, Weights::balanced(), &loose, &equal_start(&s), &cfg)
             .unwrap()
+            .0
             .comm_energy_per_round_j;
-        let e_tight = solve(&s, Weights::balanced(), &tight, equal_start(&s), &cfg)
+        let e_tight = solve(&s, Weights::balanced(), &tight, &equal_start(&s), &cfg)
             .unwrap()
+            .0
             .comm_energy_per_round_j;
         assert!(
             e_tight >= e_loose * (1.0 - 1e-6),

@@ -116,39 +116,24 @@ fn bandwidth_at_price(
     Ok(pick.argmin)
 }
 
-/// Solves Subproblem 2 directly (see the module docs) and returns a feasible `(p, B)` point.
-///
-/// Allocating convenience form of [`solve_reference_into`]. `_start` is kept in the
-/// signature for API stability; the construction never depended on it.
-///
-/// # Errors
-///
-/// Propagates numerical errors from the scalar searches (which only trigger on non-finite
-/// inputs); the caller treats any error as "keep the Newton-like solution".
-pub fn solve_reference(
-    problem: &Sp2Problem<'_>,
-    _start: &PowerBandwidth,
-) -> Result<PowerBandwidth, NumError> {
-    let mut point = PowerBandwidth::new(Vec::new(), Vec::new());
-    solve_reference_into(problem, &mut point, &mut Vec::new(), &mut ReferenceWarmState::default())?;
-    Ok(point)
-}
-
-/// [`solve_reference`] into caller-owned buffers — the allocation-free hot-path form used
-/// by the `polish_with_reference` pass of every Subproblem-2 solve.
+/// Solves Subproblem 2 directly (see the module docs), writing a feasible `(p, B)` point
+/// into caller-owned buffers — the allocation-free form used by the `polish_with_reference`
+/// pass of every Subproblem-2 solve.
 ///
 /// `out` and `b_lo_scratch` are pure scratch: overwritten completely, resized to the
 /// scenario, never read across calls. `warm` carries the previous clearing price between
 /// calls; it is only read (and only written) when
 /// [`SolverConfig::warm_start`](crate::SolverConfig) is enabled, so with warm start off —
-/// or a freshly-reset `warm` — results are bit-identical to [`solve_reference`]. The warm
-/// search stops at `scalar_tol` *relative* accuracy on `ω` instead of the cold path's fixed
-/// 60 absolute halvings; the bandwidth picks depend smoothly on the price, so the points
-/// agree to the same relative order.
+/// or a freshly-reset `warm` — the result depends on `problem` alone. The warm search stops
+/// at `scalar_tol` *relative* accuracy on `ω` instead of the cold path's fixed 60 absolute
+/// halvings; the bandwidth picks depend smoothly on the price, so the points agree to the
+/// same relative order.
 ///
 /// # Errors
 ///
-/// Same as [`solve_reference`]. On error `out` is unspecified.
+/// Propagates numerical errors from the scalar searches (which only trigger on non-finite
+/// inputs); the caller treats any error as "keep the Newton-like solution". On error `out`
+/// is unspecified.
 pub fn solve_reference_into(
     problem: &Sp2Problem<'_>,
     out: &mut PowerBandwidth,
@@ -272,13 +257,26 @@ mod tests {
         (s, arrays, cfg, r_min)
     }
 
+    /// The reference point of `problem`, solved cold into fresh buffers.
+    fn reference_point(problem: &Sp2Problem<'_>) -> PowerBandwidth {
+        let mut point = PowerBandwidth::default();
+        solve_reference_into(
+            problem,
+            &mut point,
+            &mut Vec::new(),
+            &mut ReferenceWarmState::default(),
+        )
+        .unwrap();
+        point
+    }
+
     #[test]
     fn reference_beats_equal_split_at_max_power() {
         let (s, arrays, cfg, r_min) = fixture(10, 21, 0.05);
         let problem = Sp2Problem::new(&s, &arrays, Weights::balanced(), &r_min, &cfg).unwrap();
         let a = Allocation::equal_split_max(&s);
         let start = PowerBandwidth::new(a.powers_w.clone(), a.bandwidths_hz.clone());
-        let reference = solve_reference(&problem, &start).unwrap();
+        let reference = reference_point(&problem);
         assert!(
             problem.comm_energy(&reference) <= problem.comm_energy(&start) * (1.0 + 1e-9),
             "reference {} should beat start {}",
@@ -291,9 +289,7 @@ mod tests {
     fn reference_uses_the_whole_band() {
         let (s, arrays, cfg, r_min) = fixture(8, 22, 0.05);
         let problem = Sp2Problem::new(&s, &arrays, Weights::balanced(), &r_min, &cfg).unwrap();
-        let a = Allocation::equal_split_max(&s);
-        let start = PowerBandwidth::new(a.powers_w, a.bandwidths_hz);
-        let reference = solve_reference(&problem, &start).unwrap();
+        let reference = reference_point(&problem);
         let used: f64 = reference.bandwidths_hz.iter().sum();
         assert!(used >= 0.95 * s.params.total_bandwidth.value(), "band under-used: {used}");
         assert!(used <= s.params.total_bandwidth.value() * (1.0 + 1e-6));
@@ -303,9 +299,7 @@ mod tests {
     fn reference_meets_rate_floors() {
         let (s, arrays, cfg, r_min) = fixture(12, 23, 0.03);
         let problem = Sp2Problem::new(&s, &arrays, Weights::balanced(), &r_min, &cfg).unwrap();
-        let a = Allocation::equal_split_max(&s);
-        let start = PowerBandwidth::new(a.powers_w, a.bandwidths_hz);
-        let reference = solve_reference(&problem, &start).unwrap();
+        let reference = reference_point(&problem);
         let n0 = s.params.noise.watts_per_hz();
         for (i, dev) in s.devices.iter().enumerate() {
             let rate = shannon_rate_raw(
@@ -336,9 +330,7 @@ mod tests {
         // gain is improved by 6 dB.
         let (s, arrays, cfg, r_min) = fixture(10, 25, 0.05);
         let problem = Sp2Problem::new(&s, &arrays, Weights::balanced(), &r_min, &cfg).unwrap();
-        let a = Allocation::equal_split_max(&s);
-        let start = PowerBandwidth::new(a.powers_w.clone(), a.bandwidths_hz.clone());
-        let base = problem.comm_energy(&solve_reference(&problem, &start).unwrap());
+        let base = problem.comm_energy(&reference_point(&problem));
 
         let mut better = s.clone();
         for d in &mut better.devices {
@@ -347,7 +339,7 @@ mod tests {
         let arrays2 = ScenarioArrays::from_scenario(&better);
         let problem2 =
             Sp2Problem::new(&better, &arrays2, Weights::balanced(), &r_min, &cfg).unwrap();
-        let improved = problem2.comm_energy(&solve_reference(&problem2, &start).unwrap());
+        let improved = problem2.comm_energy(&reference_point(&problem2));
         assert!(improved < base, "better channels should reduce energy ({improved} vs {base})");
     }
 }

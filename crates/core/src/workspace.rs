@@ -1,11 +1,12 @@
 //! Reusable per-device scratch buffers for the solver hot path.
 //!
-//! Every call into [`JointOptimizer::solve`] used to allocate a fresh set of per-device
-//! vectors (uplink rates, upload times, rate floors, frequencies, KKT scratch) — dozens of
-//! allocations per outer iteration, millions across a figure sweep at the paper's 100
-//! scenario draws per point. A [`SolverWorkspace`] owns those buffers once; the
-//! `*_with`/`*_in`/`*_scratch` solver entry points borrow it mutably and reuse the
-//! allocations call after call.
+//! A solve needs a set of per-device vectors (uplink rates, upload times, rate floors,
+//! frequencies, KKT scratch) — dozens per outer iteration, millions across a figure sweep at
+//! the paper's 100 scenario draws per point. A [`SolverWorkspace`] owns those buffers once.
+//! Each solver layer's one workspace entry point (`JointOptimizer::solve_summary_with`,
+//! `JointOptimizer::solve_with_deadline_summary_in`, the baselines' `allocate_summary_with`)
+//! borrows it mutably and reuses the allocations call after call; the owned-result facade
+//! ([`JointOptimizer::solve`] and friends) runs the same path on a fresh workspace.
 //!
 //! # Reuse contract: everything is scratch, nothing is carried
 //!
@@ -51,36 +52,41 @@ use flsys::{Allocation, ScenarioArrays};
 /// contents are unspecified between calls.
 #[derive(Debug, Clone, Default)]
 pub struct SolverWorkspace {
-    /// Per-device upload times `T_n^up = d_n / r_n` (seconds).
+    /// Per-device upload times `T_n^up = d_n / r_n` (seconds) of the current allocation —
+    /// Subproblem 1's input in the weighted alternation and the baselines' starting point.
     pub uploads_s: Vec<f64>,
-    /// Per-device uplink Shannon rates (bit/s).
+    /// Per-device uplink Shannon rates (bit/s) behind [`Self::uploads_s`].
     pub rates_bps: Vec<f64>,
-    /// Per-device minimum-rate floors `r_n^min` handed to Subproblem 2 (bit/s).
+    /// Per-device minimum-rate floors `r_n^min` handed to Subproblem 2 (bit/s). After a
+    /// solve: the floors of its last Subproblem-2 call.
     pub r_min_bps: Vec<f64>,
-    /// Per-device CPU frequencies (Hz) — Subproblem 1's output buffer.
+    /// Per-device CPU frequencies (Hz) — the output buffer of the frequency step (Subproblem
+    /// 1, the deadline split, or a baseline's frequency rule).
     pub frequencies_hz: Vec<f64>,
     /// Complete Subproblem-2 scratch: KKT buffers, the Newton-like outer loop's vectors,
-    /// and the double-buffered `(p, B)` points (see [`Sp2Scratch`]).
+    /// the double-buffered `(p, B)` points and the reference polish's working set (see
+    /// [`Sp2Scratch`]). Its staged point is the start and the result of every
+    /// [`crate::sp2::solve_with_arrays_in`] call made through this workspace.
     pub sp2: Sp2Scratch,
     /// Algorithm 2's working allocation (and general staging allocation for baselines).
     pub allocation: Allocation,
     /// The previous outer iterate (Algorithm 2's convergence metric compares against it).
     pub previous: Allocation,
-    /// The best iterate seen so far. After a `*_summary_*` solve this holds the returned
-    /// solution (the one piece of output that intentionally stays in the workspace).
+    /// The best iterate seen so far. After a successful Algorithm-2 solve this holds the
+    /// returned solution (the one piece of output that intentionally stays in the
+    /// workspace); the baselines leave theirs in [`Self::allocation`] instead.
     pub best: Allocation,
-    /// Pooled backing store of the convergence [`Trace`](crate::Trace) — cleared per solve.
+    /// Pooled backing store of the convergence [`Trace`](crate::Trace): cleared at the
+    /// entry of every Algorithm-2 solve (also one that fails before its first outer
+    /// iteration), then one entry per outer iteration.
     pub trace: Vec<OuterIteration>,
     /// Cumulative iteration counters of every solve that borrowed this workspace
     /// (instrumentation only; reset with [`SolveCounters::reset`]).
     pub counters: SolveCounters,
-    /// Pooled coefficient vector of the Subproblem-1 dual reference path
-    /// ([`crate::sp1::solve_dual_in`]).
-    pub sp1_cd: Vec<f64>,
     /// Struct-of-arrays view of the scenario's per-device quantities, rebuilt (capacity
-    /// reused) at the top of every solve that borrows the workspace. The inner loops of
-    /// Subproblems 1 and 2 read these contiguous lanes instead of chasing
-    /// `DeviceProfile` fields.
+    /// reused) at the top of every solve that borrows the workspace and reaches a
+    /// subproblem. The inner loops of Subproblems 1 and 2 read these contiguous lanes
+    /// instead of chasing `DeviceProfile` fields.
     pub arrays: ScenarioArrays,
     /// Subproblem 1's carried golden-section bracket (warm-start state; reset together
     /// with the Subproblem-2 warm state by [`Self::reset_warm_start`]).
@@ -117,7 +123,6 @@ impl SolverWorkspace {
             best: Allocation::default(),
             trace: Vec::new(),
             counters: SolveCounters::default(),
-            sp1_cd: Vec::with_capacity(n),
             arrays: ScenarioArrays::with_capacity(n),
             sp1_warm: Sp1WarmState::default(),
             solve_deadline: None,
@@ -183,27 +188,38 @@ mod tests {
         let small = ScenarioBuilder::paper_default().with_devices(4).build(92).unwrap();
         let mid = ScenarioBuilder::paper_default().with_devices(7).build(93).unwrap();
 
+        // A solve's full output: its summary, the winning allocation and the trace.
+        let weighted = |s: &flsys::Scenario, ws: &mut SolverWorkspace| {
+            let summary = opt.solve_summary_with(s, Weights::balanced(), ws).unwrap();
+            (summary, ws.best.clone(), ws.trace.clone())
+        };
+
         let mut reused = SolverWorkspace::new();
         // Dirty the workspace with a 10-device solve, then shrink to 4, then grow to 7.
         let mut seq = Vec::new();
         for s in [&big, &small, &mid] {
-            seq.push(opt.solve_with(s, Weights::balanced(), &mut reused).unwrap());
+            seq.push(weighted(s, &mut reused));
         }
 
         for (s, reused_out) in [&big, &small, &mid].into_iter().zip(&seq) {
-            let fresh =
-                opt.solve_with(s, Weights::balanced(), &mut SolverWorkspace::new()).unwrap();
+            let fresh = weighted(s, &mut SolverWorkspace::new());
             assert_eq!(&fresh, reused_out, "workspace reuse changed the result");
-            // And the plain (workspace-less) entry point agrees too.
+            // And the owned-result facade agrees too.
             let plain = opt.solve(s, Weights::balanced()).unwrap();
-            assert_eq!(&plain, reused_out);
+            assert_eq!(plain.objective, reused_out.0.objective);
+            assert_eq!(plain.allocation, reused_out.1);
+            assert_eq!(plain.trace.iterations, reused_out.2);
         }
 
         // Same for the deadline-constrained path.
         let mut reused = SolverWorkspace::with_capacity(10);
-        let d_big = opt.solve_with_deadline_in(&big, 150.0, &mut reused).unwrap();
-        let d_small = opt.solve_with_deadline_in(&small, 150.0, &mut reused).unwrap();
-        assert_eq!(d_big, opt.solve_with_deadline(&big, 150.0).unwrap());
-        assert_eq!(d_small, opt.solve_with_deadline(&small, 150.0).unwrap());
+        for s in [&big, &small] {
+            let summary = opt.solve_with_deadline_summary_in(s, 150.0, &mut reused).unwrap();
+            let plain = opt.solve_with_deadline(s, 150.0).unwrap();
+            assert_eq!(plain.objective, summary.objective);
+            assert_eq!(plain.total_energy_j, summary.total_energy_j);
+            assert_eq!(plain.allocation, reused.best);
+            assert_eq!(plain.trace.iterations, reused.trace);
+        }
     }
 }

@@ -220,7 +220,8 @@ fn simulate_seed(
         // `static` pins the allocation solved on the base (round-0) channel.
         let static_alloc = match &policy_spec.policy {
             RoundPolicy::Static { weights } => {
-                let alloc = optimizer.solve_with(&scenario0, *weights, ws)?.allocation;
+                optimizer.solve_summary_with(&scenario0, *weights, ws)?;
+                let alloc = ws.best.clone();
                 ws.reset_warm_start();
                 Some(alloc)
             }
@@ -235,7 +236,8 @@ fn simulate_seed(
             // Cost the round under this policy's allocation rule.
             let cost = match &policy_spec.policy {
                 RoundPolicy::ReSolve { weights } => {
-                    optimizer.solve_with(&scenario_t, *weights, ws)?.cost
+                    optimizer.solve_summary_with(&scenario_t, *weights, ws)?;
+                    scenario_t.cost(&ws.best).map_err(|e| SpecError::from(CoreError::Model(e)))?
                 }
                 RoundPolicy::Static { .. } => scenario_t
                     .cost(static_alloc.as_ref().expect("static allocation solved above"))

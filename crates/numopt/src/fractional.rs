@@ -10,15 +10,15 @@
 //!
 //! This module implements that outer loop generically: the caller supplies the numerators,
 //! denominators and a solver for the parametric subproblem
-//! `min_x Σ_i ν_i (n_i(x) − β_i d_i(x))`, and [`solve_sum_of_ratios`] handles the Newton-like
-//! updates, the damping line search (29), and convergence bookkeeping.
+//! `min_x Σ_i ν_i (n_i(x) − β_i d_i(x))`, and [`solve_sum_of_ratios_warm_in`] handles the
+//! Newton-like updates, the damping line search (29), and convergence bookkeeping.
 
 use crate::error::NumError;
 
 /// A sum-of-ratios minimization problem `min_x Σ_i w_i · n_i(x) / d_i(x)` over a convex set.
 ///
 /// Implementors must guarantee, for every feasible `x` they ever return from
-/// [`FractionalProblem::solve_parametric`]:
+/// [`FractionalProblem::solve_parametric_into`]:
 ///
 /// * `d_i(x) > 0` (denominators strictly positive),
 /// * numerators and denominators finite.
@@ -44,35 +44,23 @@ pub trait FractionalProblem {
     fn denominator(&self, i: usize, x: &Self::Point) -> f64;
 
     /// Solves the parametric (subtractive-form) subproblem
-    /// `min_x Σ_i ν_i (n_i(x) − β_i d_i(x))` over the feasible set and returns the minimizer.
+    /// `min_x Σ_i ν_i (n_i(x) − β_i d_i(x))` over the feasible set, writing the minimizer
+    /// into a caller-owned point so the outer loop can double-buffer two points instead of
+    /// allocating one per iteration.
+    ///
+    /// `out` may hold an arbitrary (even wrongly-sized) previous point on entry;
+    /// implementations must overwrite it completely.
     ///
     /// # Errors
     ///
     /// Implementations should return an error if the subproblem is infeasible or the inner
     /// solver fails; the outer loop aborts with that error.
-    fn solve_parametric(&self, nu: &[f64], beta: &[f64]) -> Result<Self::Point, NumError>;
-
-    /// [`Self::solve_parametric`] into a caller-owned point, so the outer loop can
-    /// double-buffer two points instead of allocating one per iteration.
-    ///
-    /// `out` may hold an arbitrary (even wrongly-sized) previous point on entry;
-    /// implementations must overwrite it completely. The default forwards to
-    /// [`Self::solve_parametric`] and assigns — correct for every implementor, but it
-    /// allocates; hot problems (e.g. `fedopt-core`'s `Sp2Problem`) override it with a
-    /// genuinely in-place solve.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::solve_parametric`].
     fn solve_parametric_into(
         &self,
         nu: &[f64],
         beta: &[f64],
         out: &mut Self::Point,
-    ) -> Result<(), NumError> {
-        *out = self.solve_parametric(nu, beta)?;
-        Ok(())
-    }
+    ) -> Result<(), NumError>;
 }
 
 /// Configuration of the Newton-like outer loop (the paper's Algorithm 1).
@@ -99,15 +87,14 @@ impl Default for JongConfig {
 /// Reusable buffers of the Newton-like outer loop: the multipliers `(β, ν)`, their
 /// full-Newton targets, the damping-line-search trials, and the objective history.
 ///
-/// Every field is pure scratch for [`solve_sum_of_ratios_in`]: cleared or fully overwritten
-/// on entry, never read across calls, resized to the problem at hand — one instance can
-/// serve problems of different sizes back to back and only `Vec` capacity survives. After a
-/// successful solve, [`JongScratch::beta`] / [`JongScratch::nu`] hold the final multipliers
-/// and [`JongScratch::history`] the per-iteration objectives (the data
-/// [`FractionalSolution`] clones out in the allocating wrapper).
+/// Every field is pure scratch for a [`WarmMode::Cold`] [`solve_sum_of_ratios_warm_in`]:
+/// cleared or fully overwritten on entry, never read across calls, resized to the problem at
+/// hand — one instance can serve problems of different sizes back to back and only `Vec`
+/// capacity survives. After a successful solve, [`JongScratch::beta`] / [`JongScratch::nu`]
+/// hold the final multipliers and [`JongScratch::history`] the per-iteration objectives.
 ///
-/// The one deliberate exception is the warm-start continuation
-/// ([`solve_sum_of_ratios_warm_in`]): with a non-[`WarmMode::Cold`] mode the converged
+/// The one deliberate exception is the warm-start continuation: with a
+/// non-[`WarmMode::Cold`] mode the converged
 /// `(β, ν)` of the *previous* solve seed the next one instead of being recomputed from the
 /// starting point. The scratch tracks whether it holds such a valid seed;
 /// [`JongScratch::invalidate_warm`] drops it (e.g. when the caller switches problems).
@@ -170,7 +157,7 @@ impl JongScratch {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WarmMode {
     /// Initialize `(β, ν)` from the starting point — the classic Algorithm-1 start. This is
-    /// the reference path: [`solve_sum_of_ratios_in`] always runs it.
+    /// the reference path.
     Cold,
     /// Seed `(β, ν)` from the scratch's previous solve when
     /// [`JongScratch::warm_available`]; falls back to [`WarmMode::Cold`] otherwise. Safe
@@ -185,7 +172,7 @@ pub enum WarmMode {
     FastPath,
 }
 
-/// The scalar outcome of [`solve_sum_of_ratios_in`] (the point lands in the caller's
+/// The scalar outcome of [`solve_sum_of_ratios_warm_in`] (the point lands in the caller's
 /// buffer, the multipliers and history in the [`JongScratch`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FractionalSummary {
@@ -197,27 +184,6 @@ pub struct FractionalSummary {
     pub iterations: usize,
     /// Whether the residual tolerance was reached.
     pub converged: bool,
-}
-
-/// Outcome of [`solve_sum_of_ratios`].
-#[derive(Debug, Clone)]
-pub struct FractionalSolution<P> {
-    /// Final decision variables.
-    pub point: P,
-    /// Final auxiliary ratio values `β_i = n_i / d_i`.
-    pub beta: Vec<f64>,
-    /// Final multipliers `ν_i = w_i / d_i`.
-    pub nu: Vec<f64>,
-    /// Objective value `Σ_i w_i n_i / d_i` at [`FractionalSolution::point`].
-    pub objective: f64,
-    /// `‖ϕ(β,ν)‖∞` at termination — the Newton residual of the optimality system (22)–(23).
-    pub residual: f64,
-    /// Outer iterations performed.
-    pub iterations: usize,
-    /// Whether the residual tolerance was reached.
-    pub converged: bool,
-    /// Objective value after every outer iteration (useful for convergence plots/tests).
-    pub history: Vec<f64>,
 }
 
 fn phi_inf_norm<P, F>(problem: &F, x: &P, beta: &[f64], nu: &[f64]) -> f64
@@ -249,8 +215,16 @@ where
         .sum()
 }
 
-/// Runs the damped Newton-like algorithm of Jong (the paper's Algorithm 1) starting from a
-/// feasible point `x0`.
+/// Runs the damped Newton-like algorithm of Jong (the paper's Algorithm 1) against
+/// caller-owned buffers, optionally continuing from the scratch's previous solve.
+///
+/// `x` holds the feasible starting point on entry and the final point on return; `spare` is
+/// a second point buffer of the same type (its contents are irrelevant — each
+/// [`FractionalProblem::solve_parametric_into`] call overwrites it completely) that the
+/// loop double-buffers against `x`, so no point is ever allocated. All `(β, ν)` vectors and
+/// the objective history live in the [`JongScratch`]; with an in-place
+/// `solve_parametric_into`, the whole outer loop performs zero heap allocations in steady
+/// state.
 ///
 /// Each outer iteration:
 ///
@@ -262,69 +236,8 @@ where
 ///
 /// The loop stops when `‖ϕ‖∞ ≤ phi_tol` or after `max_iter` iterations.
 ///
-/// # Errors
-///
-/// * [`NumError::DimensionMismatch`] if the problem has zero ratios.
-/// * [`NumError::NonPositiveParameter`] if a denominator is not strictly positive at any
-///   iterate, or the configuration constants are outside `(0,1)`.
-/// * Errors returned by [`FractionalProblem::solve_parametric`] are propagated.
-pub fn solve_sum_of_ratios<P, F>(
-    problem: &F,
-    x0: P,
-    config: JongConfig,
-) -> Result<FractionalSolution<P>, NumError>
-where
-    P: Clone,
-    F: FractionalProblem<Point = P> + ?Sized,
-{
-    let mut x = x0;
-    let mut spare = x.clone();
-    let mut scratch = JongScratch::default();
-    let summary = solve_sum_of_ratios_in(problem, &mut x, &mut spare, config, &mut scratch)?;
-    Ok(FractionalSolution {
-        objective: summary.objective,
-        point: x,
-        beta: scratch.beta,
-        nu: scratch.nu,
-        residual: summary.residual,
-        iterations: summary.iterations,
-        converged: summary.converged,
-        history: scratch.history,
-    })
-}
-
-/// [`solve_sum_of_ratios`] against caller-owned buffers — the allocation-free form.
-///
-/// `x` holds the feasible starting point on entry and the final point on return; `spare` is
-/// a second point buffer of the same type (its contents are irrelevant — each
-/// [`FractionalProblem::solve_parametric_into`] call overwrites it completely) that the
-/// loop double-buffers against `x`, so no point is ever allocated. All `(β, ν)` vectors and
-/// the objective history live in the [`JongScratch`]; with a problem that overrides
-/// `solve_parametric_into` in-place, the whole outer loop performs zero heap allocations in
-/// steady state. Results are bit-identical to [`solve_sum_of_ratios`] — same arithmetic,
-/// same order.
-///
-/// # Errors
-///
-/// Same as [`solve_sum_of_ratios`].
-pub fn solve_sum_of_ratios_in<P, F>(
-    problem: &F,
-    x: &mut P,
-    spare: &mut P,
-    config: JongConfig,
-    scratch: &mut JongScratch,
-) -> Result<FractionalSummary, NumError>
-where
-    F: FractionalProblem<Point = P> + ?Sized,
-{
-    solve_sum_of_ratios_warm_in(problem, x, spare, config, scratch, WarmMode::Cold)
-}
-
-/// [`solve_sum_of_ratios_in`] with a warm-start continuation over the scratch's previous
-/// solve.
-///
-/// With [`WarmMode::Cold`] this *is* [`solve_sum_of_ratios_in`] — bit-identical, the warm
-/// state is never read. With [`WarmMode::Multipliers`] the converged `(β, ν)` of the
+/// With [`WarmMode::Cold`] the warm state is never read: `(β, ν)` start from `x`, the
+/// classic Algorithm-1 start. With [`WarmMode::Multipliers`] the converged `(β, ν)` of the
 /// previous solve (when [`JongScratch::warm_available`]) replace the cold initialization,
 /// so the first parametric solve already starts from the previous fixed point — worth
 /// several Newton iterations when successive problems differ only slightly (the alternating
@@ -339,7 +252,12 @@ where
 ///
 /// # Errors
 ///
-/// Same as [`solve_sum_of_ratios`]. After an error the scratch's warm seed is invalid.
+/// * [`NumError::DimensionMismatch`] if the problem has zero ratios.
+/// * [`NumError::NonPositiveParameter`] if a denominator is not strictly positive at any
+///   iterate, or the configuration constants are outside `(0,1)`.
+/// * Errors returned by [`FractionalProblem::solve_parametric_into`] are propagated.
+///
+/// After an error the scratch's warm seed is invalid.
 pub fn solve_sum_of_ratios_warm_in<P, F>(
     problem: &F,
     x: &mut P,
@@ -509,17 +427,43 @@ mod tests {
                 _ => 1.0,
             }
         }
-        fn solve_parametric(&self, nu: &[f64], beta: &[f64]) -> Result<f64, NumError> {
+        fn solve_parametric_into(
+            &self,
+            nu: &[f64],
+            beta: &[f64],
+            out: &mut f64,
+        ) -> Result<(), NumError> {
             // min over x of nu0*((x+1) - beta0*x) + nu1*((x-3)^2 - beta1)
             // => derivative: nu0*(1-beta0) + 2*nu1*(x-3) = 0
             let x = 3.0 - nu[0] * (1.0 - beta[0]) / (2.0 * nu[1]);
-            Ok(x.clamp(0.5, 5.0))
+            *out = x.clamp(0.5, 5.0);
+            Ok(())
         }
+    }
+
+    /// A cold solve from `x0` on a fresh scratch: the final point, the summary and the
+    /// scratch holding the multipliers and history.
+    fn solve_cold<F: FractionalProblem<Point = f64>>(
+        problem: &F,
+        x0: f64,
+        config: JongConfig,
+    ) -> Result<(f64, FractionalSummary, JongScratch), NumError> {
+        let (mut x, mut spare) = (x0, 0.0);
+        let mut scratch = JongScratch::default();
+        let summary = solve_sum_of_ratios_warm_in(
+            problem,
+            &mut x,
+            &mut spare,
+            config,
+            &mut scratch,
+            WarmMode::Cold,
+        )?;
+        Ok((x, summary, scratch))
     }
 
     #[test]
     fn toy_problem_matches_grid_search() {
-        let sol = solve_sum_of_ratios(&Toy, 1.0, JongConfig::default()).unwrap();
+        let (point, sol, _) = solve_cold(&Toy, 1.0, JongConfig::default()).unwrap();
         assert!(sol.converged, "residual {}", sol.residual);
 
         // Grid-search reference.
@@ -535,75 +479,64 @@ mod tests {
             sol.objective,
             reference.value
         );
-        assert!((sol.point - reference.argmin[0]).abs() < 1e-2);
+        assert!((point - reference.argmin[0]).abs() < 1e-2);
     }
 
     #[test]
     fn optimality_system_holds_at_fixed_point() {
-        let sol = solve_sum_of_ratios(&Toy, 4.0, JongConfig::default()).unwrap();
+        let (point, _, scratch) = solve_cold(&Toy, 4.0, JongConfig::default()).unwrap();
         // (22)–(23): nu_i = w_i / d_i(x*), beta_i = n_i(x*) / d_i(x*).
         for i in 0..2 {
-            let d = Toy.denominator(i, &sol.point);
-            let n = Toy.numerator(i, &sol.point);
-            assert!((sol.nu[i] - 1.0 / d).abs() < 1e-6);
-            assert!((sol.beta[i] - n / d).abs() < 1e-6);
+            let d = Toy.denominator(i, &point);
+            let n = Toy.numerator(i, &point);
+            assert!((scratch.nu[i] - 1.0 / d).abs() < 1e-6);
+            assert!((scratch.beta[i] - n / d).abs() < 1e-6);
         }
     }
 
     #[test]
     fn history_is_recorded_and_mostly_decreasing() {
-        let sol = solve_sum_of_ratios(&Toy, 5.0, JongConfig::default()).unwrap();
-        assert!(sol.history.len() >= 2);
-        assert!(sol.history.last().unwrap() <= sol.history.first().unwrap());
+        let (_, _, scratch) = solve_cold(&Toy, 5.0, JongConfig::default()).unwrap();
+        assert!(scratch.history.len() >= 2);
+        assert!(scratch.history.last().unwrap() <= scratch.history.first().unwrap());
+    }
+
+    /// One default-config solve of [`Toy`] from `x0` (with `spare` as the second point
+    /// buffer's garbage) against a carried scratch: the final point and the summary.
+    fn toy_in(
+        x0: f64,
+        spare: f64,
+        scratch: &mut JongScratch,
+        mode: WarmMode,
+    ) -> (f64, FractionalSummary) {
+        let (mut x, mut spare) = (x0, spare);
+        let config = JongConfig::default();
+        let summary =
+            solve_sum_of_ratios_warm_in(&Toy, &mut x, &mut spare, config, scratch, mode).unwrap();
+        (x, summary)
     }
 
     #[test]
     fn in_place_driver_matches_allocating_wrapper_bitwise() {
-        let config = JongConfig::default();
-        let sol = solve_sum_of_ratios(&Toy, 5.0, config).unwrap();
-
-        let mut x = 5.0;
-        let mut spare = 0.0; // arbitrary garbage; overwritten by the first parametric solve
+        // A dirtied, reused scratch and a garbage spare must reproduce a fresh-scratch run
+        // bit for bit (the reuse contract).
         let mut scratch = JongScratch::default();
-        let s1 = solve_sum_of_ratios_in(&Toy, &mut x, &mut spare, config, &mut scratch).unwrap();
-        assert_eq!(x, sol.point);
-        assert_eq!(s1.objective, sol.objective);
-        assert_eq!(s1.residual, sol.residual);
-        assert_eq!(s1.iterations, sol.iterations);
-        assert_eq!(s1.converged, sol.converged);
-        assert_eq!(scratch.beta, sol.beta);
-        assert_eq!(scratch.nu, sol.nu);
-        assert_eq!(scratch.history, sol.history);
-
-        // A dirtied, reused scratch must reproduce the run bit for bit (the reuse contract).
-        let mut x2 = 5.0;
-        let mut spare2 = -7.0;
-        let s2 = solve_sum_of_ratios_in(&Toy, &mut x2, &mut spare2, config, &mut scratch).unwrap();
-        assert_eq!(x2, x);
-        assert_eq!(s2, s1);
+        let first = toy_in(5.0, 0.0, &mut scratch, WarmMode::Cold);
+        let (beta, nu, history) =
+            (scratch.beta.clone(), scratch.nu.clone(), scratch.history.clone());
+        assert_eq!(toy_in(5.0, -7.0, &mut scratch, WarmMode::Cold), first);
+        assert_eq!((scratch.beta, scratch.nu, scratch.history), (beta, nu, history));
     }
 
     #[test]
     fn warm_multipliers_reach_the_same_fixed_point() {
-        let config = JongConfig::default();
-        let cold = solve_sum_of_ratios(&Toy, 5.0, config).unwrap();
+        let (_, cold, _) = solve_cold(&Toy, 5.0, JongConfig::default()).unwrap();
 
         // First solve populates the warm seed; the second starts from a different point but
         // carries the converged multipliers — it must land on the same fixed point.
         let mut scratch = JongScratch::default();
-        let (mut x, mut spare) = (5.0, 0.0);
-        solve_sum_of_ratios_warm_in(&Toy, &mut x, &mut spare, config, &mut scratch, WarmMode::Cold)
-            .unwrap();
-        let mut x2 = 4.0;
-        let s2 = solve_sum_of_ratios_warm_in(
-            &Toy,
-            &mut x2,
-            &mut spare,
-            config,
-            &mut scratch,
-            WarmMode::Multipliers,
-        )
-        .unwrap();
+        toy_in(5.0, 0.0, &mut scratch, WarmMode::Cold);
+        let (_, s2) = toy_in(4.0, 0.0, &mut scratch, WarmMode::Multipliers);
         assert!(s2.converged);
         assert!(
             (s2.objective - cold.objective).abs() <= 1e-8 * cold.objective.abs(),
@@ -615,30 +548,12 @@ mod tests {
 
     #[test]
     fn fast_path_skips_the_loop_when_multipliers_still_hold() {
-        let config = JongConfig::default();
         let mut scratch = JongScratch::default();
-        let (mut x, mut spare) = (5.0, 0.0);
-        let first = solve_sum_of_ratios_warm_in(
-            &Toy,
-            &mut x,
-            &mut spare,
-            config,
-            &mut scratch,
-            WarmMode::Cold,
-        )
-        .unwrap();
+        let (x, first) = toy_in(5.0, 0.0, &mut scratch, WarmMode::Cold);
         assert!(first.converged);
 
         // Same point, carried multipliers, constraints unchanged: zero iterations.
-        let again = solve_sum_of_ratios_warm_in(
-            &Toy,
-            &mut x,
-            &mut spare,
-            config,
-            &mut scratch,
-            WarmMode::FastPath,
-        )
-        .unwrap();
+        let (x, again) = toy_in(x, 0.0, &mut scratch, WarmMode::FastPath);
         assert!(again.converged);
         assert_eq!(again.iterations, 0, "fast path must skip the loop");
         assert_eq!(again.objective, first.objective);
@@ -646,52 +561,26 @@ mod tests {
         // An invalidated seed falls back to the cold start (and still solves).
         scratch.invalidate_warm();
         assert!(!scratch.warm_available(2));
-        let after_reset = solve_sum_of_ratios_warm_in(
-            &Toy,
-            &mut x,
-            &mut spare,
-            config,
-            &mut scratch,
-            WarmMode::FastPath,
-        )
-        .unwrap();
+        let (_, after_reset) = toy_in(x, 0.0, &mut scratch, WarmMode::FastPath);
         assert!(after_reset.iterations >= 1, "cold fallback must run the loop");
         assert!(after_reset.converged);
     }
 
     #[test]
     fn cold_mode_ignores_warm_state_bitwise() {
-        let config = JongConfig::default();
-        let reference = solve_sum_of_ratios(&Toy, 5.0, config).unwrap();
+        let (reference_point, reference, reference_scratch) =
+            solve_cold(&Toy, 5.0, JongConfig::default()).unwrap();
 
         // A scratch dirtied by a previous (different-start) solve, used in Cold mode, must
         // reproduce the fresh-scratch run bit for bit — the warm seed is never read.
         let mut scratch = JongScratch::default();
-        let (mut x0, mut spare) = (1.0, 0.0);
-        solve_sum_of_ratios_warm_in(
-            &Toy,
-            &mut x0,
-            &mut spare,
-            config,
-            &mut scratch,
-            WarmMode::Cold,
-        )
-        .unwrap();
-        let mut x = 5.0;
-        let summary = solve_sum_of_ratios_warm_in(
-            &Toy,
-            &mut x,
-            &mut spare,
-            config,
-            &mut scratch,
-            WarmMode::Cold,
-        )
-        .unwrap();
-        assert_eq!(x, reference.point);
+        toy_in(1.0, 0.0, &mut scratch, WarmMode::Cold);
+        let (x, summary) = toy_in(5.0, 0.0, &mut scratch, WarmMode::Cold);
+        assert_eq!(x, reference_point);
         assert_eq!(summary.objective, reference.objective);
         assert_eq!(summary.iterations, reference.iterations);
-        assert_eq!(scratch.beta, reference.beta);
-        assert_eq!(scratch.nu, reference.nu);
+        assert_eq!(scratch.beta, reference_scratch.beta);
+        assert_eq!(scratch.nu, reference_scratch.nu);
     }
 
     #[test]
@@ -711,12 +600,18 @@ mod tests {
             fn denominator(&self, _: usize, _: &f64) -> f64 {
                 1.0
             }
-            fn solve_parametric(&self, _: &[f64], _: &[f64]) -> Result<f64, NumError> {
-                Ok(0.0)
+            fn solve_parametric_into(
+                &self,
+                _: &[f64],
+                _: &[f64],
+                out: &mut f64,
+            ) -> Result<(), NumError> {
+                *out = 0.0;
+                Ok(())
             }
         }
         assert!(matches!(
-            solve_sum_of_ratios(&Empty, 0.0, JongConfig::default()),
+            solve_cold(&Empty, 0.0, JongConfig::default()),
             Err(NumError::DimensionMismatch { .. })
         ));
     }
@@ -724,9 +619,9 @@ mod tests {
     #[test]
     fn rejects_bad_config() {
         let bad_xi = JongConfig { xi: 1.5, ..Default::default() };
-        assert!(solve_sum_of_ratios(&Toy, 1.0, bad_xi).is_err());
+        assert!(solve_cold(&Toy, 1.0, bad_xi).is_err());
         let bad_eps = JongConfig { epsilon: 0.0, ..Default::default() };
-        assert!(solve_sum_of_ratios(&Toy, 1.0, bad_eps).is_err());
+        assert!(solve_cold(&Toy, 1.0, bad_eps).is_err());
     }
 
     #[test]
@@ -746,12 +641,18 @@ mod tests {
             fn denominator(&self, _: usize, _x: &f64) -> f64 {
                 0.0
             }
-            fn solve_parametric(&self, _: &[f64], _: &[f64]) -> Result<f64, NumError> {
-                Ok(1.0)
+            fn solve_parametric_into(
+                &self,
+                _: &[f64],
+                _: &[f64],
+                out: &mut f64,
+            ) -> Result<(), NumError> {
+                *out = 1.0;
+                Ok(())
             }
         }
         assert!(matches!(
-            solve_sum_of_ratios(&BadDen, 1.0, JongConfig::default()),
+            solve_cold(&BadDen, 1.0, JongConfig::default()),
             Err(NumError::NonPositiveParameter { .. })
         ));
     }

@@ -20,6 +20,8 @@
 //! * [`projgrad`] — projected gradient ascent/descent with diminishing or backtracking steps.
 //! * [`fractional`] — a generic implementation of Jong's Newton-like algorithm for
 //!   sum-of-ratios ("fractional programming") problems, the skeleton of the paper's Algorithm 1.
+//!   Its one entry point, [`solve_sum_of_ratios_warm_in`], runs in caller-owned buffers
+//!   (cold or continuing from the previous solve) and allocates nothing in steady state.
 //! * [`grid`] — brute-force grid search, used only by tests and cross-validation helpers.
 //!
 //! All routines are deterministic, allocation-light, and return typed errors instead of
@@ -57,8 +59,8 @@ pub mod simplex;
 
 pub use error::NumError;
 pub use fractional::{
-    solve_sum_of_ratios, solve_sum_of_ratios_in, solve_sum_of_ratios_warm_in, FractionalProblem,
-    FractionalSolution, FractionalSummary, JongConfig, JongScratch, WarmMode,
+    solve_sum_of_ratios_warm_in, FractionalProblem, FractionalSummary, JongConfig, JongScratch,
+    WarmMode,
 };
 pub use lambertw::lambert_w0;
 pub use roots::{bisect, brent, BisectOutcome};
