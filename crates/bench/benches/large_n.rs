@@ -4,16 +4,13 @@
 //! The interesting regime here is one *large* scenario, not many small ones: per-device
 //! work must stay `O(n)`–`O(n log n)` per outer iteration and the iteration counts of the
 //! scalar searches (the golden section over `T`, the Brent `μ`-root) must stay flat in
-//! `n`. Two knobs make the fleet scale tractable and match `presets::large_n`:
+//! `n`. The configuration matches `presets::large_n`: `SolverConfig::fast()` tolerances
+//! with the default exact-price Subproblem 2, `O(n)` per price evaluation.
 //!
-//! * `polish_with_reference` is off — the reference cross-check re-solves a sum-of-ratios
-//!   program with an `O(n)` inner pass per price evaluation and hundreds of evaluations,
-//!   which is noise at 10 devices and dominant past ~10³;
-//! * `SolverConfig::fast()` tolerances, the same configuration every figure sweep uses.
-//!
-//! `large_n/solve_1000` … `solve_100000` time the default path (warm start + Brent, reset
-//! per iteration so every solve is cold); `large_n/solve_bisect_mu_10000` times the legacy
-//! pure-bisection `μ`-root at 10⁴ devices for the superlinear-step comparison that
+//! `large_n/solve_1000` … `solve_100000` time the default path (warm start reset per
+//! iteration so every solve is cold); `large_n/solve_jong_10000` and
+//! `large_n/solve_bisect_mu_10000` time the paper's Jong SP2 path at 10⁴ devices with the
+//! Brent and the legacy pure-bisection `μ`-root, for the superlinear-step comparison that
 //! `BENCH_PR6.json` records.
 //!
 //! Run with `cargo bench -p fedopt-bench --bench large_n`.
@@ -25,9 +22,7 @@ use std::time::Duration;
 
 /// The fleet-scale configuration (`presets::large_n` uses the same one).
 fn fleet_config() -> SolverConfig {
-    let mut cfg = SolverConfig::fast();
-    cfg.polish_with_reference = false;
-    cfg
+    SolverConfig::fast()
 }
 
 fn bench_large_n(c: &mut Criterion) {
@@ -50,17 +45,26 @@ fn bench_large_n(c: &mut Criterion) {
             })
         });
     }
-    // The legacy pure-bisection μ-root at 10⁴ devices: every extra g'(μ) evaluation is an
-    // O(n) pass, so the superlinear step's eval savings translate directly to wall clock.
-    let bisect = JointOptimizer::new(fleet_config().with_superlinear_mu(false));
+    // The paper's Jong path at 10⁴ devices, with the Brent and the legacy pure-bisection
+    // μ-root: every extra g'(μ) evaluation is an O(n) pass, so the superlinear step's eval
+    // savings translate directly to wall clock.
+    let paper = SolverConfig { polish_with_reference: false, ..fleet_config() };
     let scenario = ScenarioBuilder::paper_default().with_devices(10_000).build(11).unwrap();
-    group.bench_with_input(BenchmarkId::new("solve_bisect_mu", 10_000), &10_000, |b, _| {
-        let mut ws = SolverWorkspace::with_capacity(10_000);
-        b.iter(|| {
-            ws.reset_warm_start();
-            bisect.solve_summary_with(&scenario, Weights::balanced(), &mut ws).unwrap().objective
-        })
-    });
+    for (name, config) in
+        [("solve_jong", paper), ("solve_bisect_mu", paper.with_superlinear_mu(false))]
+    {
+        let optimizer = JointOptimizer::new(config);
+        group.bench_with_input(BenchmarkId::new(name, 10_000), &10_000, |b, _| {
+            let mut ws = SolverWorkspace::with_capacity(10_000);
+            b.iter(|| {
+                ws.reset_warm_start();
+                optimizer
+                    .solve_summary_with(&scenario, Weights::balanced(), &mut ws)
+                    .unwrap()
+                    .objective
+            })
+        });
+    }
     group.finish();
 }
 

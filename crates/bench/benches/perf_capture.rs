@@ -1,11 +1,12 @@
 //! Machine-readable perf capture for the solver/engine performance work: measures
 //! cells/sec on the solver-bound fig2 quick grid (legacy pure-bisection, cold, and warm
-//! paths), steady-state allocations per cell, the sp2 hot-path latency, the solver
-//! iteration counters on each path, fleet-scale single-scenario solves at 10³/10⁴/10⁵
-//! devices, sharded-fleet sweep rows (1/2/4 worker subprocesses on the fig2 100-draw
-//! grid, plus a cold-vs-cached re-run over the content-addressed shard cache), the
-//! adaptive-vs-fixed warm μ-bracket eval counts, and the streaming reducer's
-//! accumulator footprint, then writes the per-run capture to
+//! runs of the paper's Jong SP2 path, and the default exact price path), steady-state
+//! allocations per cell, the sp2 latency on both paths, the solver iteration counters on
+//! each Jong path, fleet-scale single-scenario solves at 10³/10⁴/10⁵ devices,
+//! sharded-fleet sweep rows (1/2/4 worker subprocesses on the fig2 100-draw grid, plus a
+//! cold-vs-cached re-run over the content-addressed shard cache), the adaptive-vs-fixed
+//! warm μ-bracket eval counts, and the streaming reducer's accumulator footprint, then
+//! writes the per-run capture to
 //! `target/bench-capture/perf_capture.json` (CI uploads it as an artifact so the perf
 //! trajectory is recorded per commit). The curated, committed before/after snapshots live
 //! separately in `BENCH_PR3.json` / `BENCH_PR4.json` / `BENCH_PR6.json` /
@@ -42,7 +43,12 @@ fn best_of<R>(runs: usize, mut f: impl FnMut() -> R) -> f64 {
 }
 
 fn main() {
-    let spec = presets::fig2(Variant::Quick);
+    // The Jong-path rows (legacy bisection, cold and warm continuation, the adaptive μ
+    // bracket, the fleet counters) run on the paper SP2 path, the only one with Jong
+    // iterations and μ evaluations; the default exact price path gets rows of its own.
+    let default_spec = presets::fig2(Variant::Quick);
+    let mut spec = default_spec.clone();
+    spec.solver.polish_with_reference = Some(false);
     let grid = spec.grid().unwrap();
     let solver = spec.solver.resolve();
     let run = |engine: &SweepEngine| spec.run_with_engine(engine).unwrap();
@@ -63,6 +69,8 @@ fn main() {
     let warm_secs = best_of(3, || run(&warm_engine));
     let cold_cells_per_sec = cells as f64 / cold_secs;
     let warm_cells_per_sec = cells as f64 / warm_secs;
+    let price_secs = best_of(3, || default_spec.run_with_engine(&warm_engine).unwrap());
+    let price_cells_per_sec = cells as f64 / price_secs;
 
     // --- Solver iteration counters on the same grid for each path (the non-wall-clock
     // evidence that the continuation and the superlinear μ-step save work).
@@ -107,41 +115,60 @@ fn main() {
         once(); // warm-up
         best_of(10, &mut once)
     };
+    let price_solver = default_spec.solver.resolve();
+    let sp2_price_secs = best_of(10, || {
+        scratch.stage_start(&start_alloc.powers_w, &start_alloc.bandwidths_hz);
+        sp2::solve_with_arrays_in(
+            &scenario,
+            &arrays,
+            Weights::balanced(),
+            &r_min,
+            &price_solver,
+            &mut scratch,
+        )
+        .unwrap()
+        .comm_energy_per_round_j
+    });
 
     // --- Streaming reducer footprint: accumulators are O(points × arms) by construction.
     let peak_accumulators = points * arms;
 
     // --- Fleet-scale single-scenario solves (PR 6): one cold solve per device count on
-    // the struct-of-arrays hot path (fast config, reference polish off — the large_n
-    // preset's setup), wall clock plus the counters that prove the scalar searches stay
+    // the struct-of-arrays hot path (fast config — the large_n preset's setup), wall clock
+    // on both SP2 paths plus the paper path's counters that prove its scalar searches stay
     // flat in n.
-    let mut fleet_cfg = SolverConfig::fast();
-    fleet_cfg.polish_with_reference = false;
-    let fleet = JointOptimizer::new(fleet_cfg);
-    let fleet_rows: Vec<(usize, f64, SolveCounters)> = [1_000usize, 10_000, 100_000]
+    let fleet_cold = |config: SolverConfig, n: usize| {
+        let fleet = JointOptimizer::new(config);
+        let scenario = ScenarioBuilder::paper_default().with_devices(n).build(11).unwrap();
+        let mut ws = SolverWorkspace::with_capacity(n);
+        fleet.solve_summary_with(&scenario, Weights::balanced(), &mut ws).unwrap(); // warm-up
+        let runs = if n >= 100_000 { 2 } else { 3 };
+        let secs = best_of(runs, || {
+            ws.reset_warm_start();
+            fleet.solve_summary_with(&scenario, Weights::balanced(), &mut ws).unwrap()
+        });
+        ws.counters.reset();
+        ws.reset_warm_start();
+        fleet.solve_summary_with(&scenario, Weights::balanced(), &mut ws).unwrap();
+        (secs, ws.counters)
+    };
+    let paper_fleet = SolverConfig { polish_with_reference: false, ..SolverConfig::fast() };
+    let fleet_rows: Vec<(usize, f64, f64, SolveCounters)> = [1_000usize, 10_000, 100_000]
         .iter()
         .map(|&n| {
-            let scenario = ScenarioBuilder::paper_default().with_devices(n).build(11).unwrap();
-            let mut ws = SolverWorkspace::with_capacity(n);
-            fleet.solve_summary_with(&scenario, Weights::balanced(), &mut ws).unwrap(); // warm-up
-            let runs = if n >= 100_000 { 2 } else { 3 };
-            let secs = best_of(runs, || {
-                ws.reset_warm_start();
-                fleet.solve_summary_with(&scenario, Weights::balanced(), &mut ws).unwrap()
-            });
-            ws.counters.reset();
-            ws.reset_warm_start();
-            fleet.solve_summary_with(&scenario, Weights::balanced(), &mut ws).unwrap();
-            (n, secs, ws.counters)
+            let (secs, counters) = fleet_cold(paper_fleet, n);
+            (n, secs, fleet_cold(SolverConfig::fast(), n).0, counters)
         })
         .collect();
     let fleet_json: String = fleet_rows
         .iter()
-        .map(|(n, secs, k)| {
+        .map(|(n, secs, price_secs, k)| {
             format!(
-                "    {{ \"devices\": {n}, \"solve_ms\": {:.1}, \"mu_evals\": {}, \
-                 \"sp1_probe_evals\": {}, \"kkt_solves\": {}, \"lp_sorts\": {} }}",
+                "    {{ \"devices\": {n}, \"solve_ms\": {:.1}, \"price_solve_ms\": {:.1}, \
+                 \"mu_evals\": {}, \"sp1_probe_evals\": {}, \"kkt_solves\": {}, \
+                 \"lp_sorts\": {} }}",
                 secs * 1e3,
+                price_secs * 1e3,
                 k.mu_bisect_evals,
                 k.sp1_probe_evals,
                 k.kkt_solves,
@@ -221,6 +248,7 @@ fn main() {
          \"cells\": {cells},\n  \"legacy_bisect_cells_per_sec\": {:.1},\n  \
          \"cold_cells_per_sec\": {cold_cells_per_sec:.1},\n  \
          \"warm_cells_per_sec\": {warm_cells_per_sec:.1},\n  \
+         \"price_path_warm_cells_per_sec\": {price_cells_per_sec:.1},\n  \
          \"superlinear_mu_speedup\": {:.3},\n  \"warm_speedup\": {:.3},\n  \
          \"legacy_mu_bisect_evals\": {},\n  \
          \"cold_jong_iterations\": {},\n  \"warm_jong_iterations\": {},\n  \
@@ -229,7 +257,8 @@ fn main() {
          \"cold_lp_sorts\": {},\n  \"cold_kkt_solves\": {},\n  \
          \"warm_fast_path_hits\": {},\n  \
          \"allocs_per_cell_steady_state\": {allocs_per_cell},\n  \
-         \"sp2_solve_in_us\": {:.1},\n  \"peak_accumulators\": {peak_accumulators},\n  \
+         \"sp2_solve_in_us\": {:.1},\n  \"sp2_price_solve_us\": {:.1},\n  \
+         \"peak_accumulators\": {peak_accumulators},\n  \
          \"large_n\": [\n{fleet_json}\n  ],\n  \
          \"adaptive_mu_bracket_warm_mu_evals\": {adaptive_mu},\n  \
          \"fixed_mu_bracket_warm_mu_evals\": {fixed_mu},\n  \
@@ -254,6 +283,7 @@ fn main() {
         cold_counters.kkt_solves,
         warm_counters.sp2_fast_path_hits,
         sp2_secs * 1e6,
+        sp2_price_secs * 1e6,
         direct_secs * 1e3,
         cache_cold_secs * 1e3,
         cache_warm_secs * 1e3,

@@ -914,11 +914,14 @@ mod tests {
         assert!(out.objective <= best_traced * (1.0 + 1e-9));
     }
 
+    /// The paper (Jong) path's continuation: warm matches cold within `outer_tol` and
+    /// spends fewer Jong iterations and `μ` evaluations.
     #[test]
     fn warm_start_matches_cold_within_outer_tol_and_saves_iterations() {
         let s = scenario(10, 40);
-        let cold_opt = JointOptimizer::new(SolverConfig::fast().with_warm_start(false));
-        let warm_opt = JointOptimizer::new(SolverConfig::fast().with_warm_start(true));
+        let paper = SolverConfig { polish_with_reference: false, ..SolverConfig::fast() };
+        let cold_opt = JointOptimizer::new(paper.with_warm_start(false));
+        let warm_opt = JointOptimizer::new(paper.with_warm_start(true));
         for w in Weights::paper_sweep() {
             let mut cold_ws = SolverWorkspace::new();
             let mut warm_ws = SolverWorkspace::new();
@@ -999,9 +1002,11 @@ mod tests {
         let s = scenario(8, 44);
         let (_, fastest_round) = optimizer().minimize_round_time(&s).unwrap();
         let deadline = fastest_round * s.params.rg() * 1.8;
-        // Both alternations, warm and cold; the deadline runs trace both of their seeds.
-        for warm in [true, false] {
-            let opt = JointOptimizer::new(SolverConfig::fast().with_warm_start(warm));
+        // Both alternations, warm and cold, on both SP2 paths; the deadline runs trace both
+        // of their seeds.
+        for (warm, polish) in [(true, false), (false, false), (true, true), (false, true)] {
+            let config = SolverConfig { polish_with_reference: polish, ..SolverConfig::fast() };
+            let opt = JointOptimizer::new(config.with_warm_start(warm));
             for deadline_mode in [false, true] {
                 let mut ws = SolverWorkspace::new();
                 if deadline_mode {
@@ -1009,13 +1014,15 @@ mod tests {
                 } else {
                     opt.solve_summary_with(&s, Weights::balanced(), &mut ws).unwrap();
                 }
-                let run = format!("warm {warm}, deadline {deadline_mode}");
+                let run = format!("warm {warm}, price path {polish}, deadline {deadline_mode}");
                 assert!(!ws.trace.is_empty(), "{run}");
                 assert_eq!(ws.counters.outer_iterations, ws.trace.len() as u64, "{run}");
                 // Jong iterations recorded per outer iteration sum to the workspace total.
                 let traced: u64 = ws.trace.iter().map(|it| it.sp2_iterations as u64).sum();
                 assert_eq!(traced, ws.counters.jong_iterations, "{run}");
                 assert_eq!(ws.counters.jong_iterations, ws.counters.kkt_solves, "{run}");
+                // The price path never enters the Jong loop; the paper path always does.
+                assert_eq!(ws.counters.jong_iterations == 0, polish, "{run}");
                 let ks: Vec<usize> = ws.trace.iter().map(|it| it.k).collect();
                 assert_eq!(ks, (1..=ws.trace.len()).collect::<Vec<_>>(), "{run}");
             }

@@ -13,12 +13,16 @@ pub struct SolverConfig {
     pub outer_max_iter: usize,
     /// Outer convergence tolerance `ε₀` on the normalized change of the solution vector.
     pub outer_tol: f64,
-    /// Newton-like loop settings for Subproblem 2 (the paper's Algorithm 1).
+    /// Newton-like loop settings for Subproblem 2 (the paper's Algorithm 1). Only the paper
+    /// SP2 path reads them ([`SolverConfig::polish_with_reference`] off).
     #[serde(skip, default = "default_jong")]
     pub jong: JongConfig,
-    /// Relative tolerance of the root search that finds the bandwidth-budget multiplier `μ`
-    /// (Brent by default, pure bisection with [`SolverConfig::superlinear_mu`] off),
-    /// relative to the upper end of the conservative `μ` bracket.
+    /// Tolerance of the bandwidth-price searches. On the default price path it is the
+    /// tolerance on `ln ω` — the relative accuracy of the clearing price — and of each
+    /// device's demand root. On the paper path it is the tolerance of the root search for
+    /// the bandwidth-budget multiplier `μ` (Brent by default, pure bisection with
+    /// [`SolverConfig::superlinear_mu`] off), relative to the upper end of the
+    /// conservative `μ` bracket.
     pub mu_tol: f64,
     /// Tolerance of the one-dimensional searches (Subproblem 1 over `T`, baselines).
     pub scalar_tol: f64,
@@ -27,15 +31,22 @@ pub struct SolverConfig {
     /// Lower floor on any device's bandwidth share in hertz (keeps Shannon rates strictly
     /// positive so the sum-of-ratios denominators never vanish).
     pub bandwidth_floor_hz: f64,
-    /// If `true`, Subproblem 2 cross-checks the Newton-like (Theorem 2) solution against a
-    /// direct reference solver and keeps whichever attains lower communication energy.
+    /// Picks the Subproblem-2 solver. `true` (the default) is the exact price solver
+    /// (`sp2::reference`): with every power at its smallest feasible value SP2 is
+    /// separable and convex in bandwidth, and one bandwidth price solves it exactly.
+    /// `false` is the paper's path: Jong's Newton-like sum-of-ratios loop over Theorem-2
+    /// KKT solves, the only reader of [`SolverConfig::jong`],
+    /// [`SolverConfig::superlinear_mu`], [`SolverConfig::adaptive_mu_bracket`] and the warm
+    /// `μ` bracket. The name predates the price solver, when `true` meant polishing the
+    /// Newton point with a reference solver.
     pub polish_with_reference: bool,
-    /// Enables the warm-start continuation through the solver stack: Subproblem 2 seeds its
-    /// Newton-like loop with the previous solve's `(β, ν)` multipliers, reuses the previous
-    /// `μ`-root bracket, skips the loop entirely once the rate floors stop moving (see
-    /// [`SolverConfig::warm_rmin_tol`]), Subproblem 1 narrows its golden-section bracket
-    /// around the previous round time, and Algorithm 2 carries the previous `(p, B)`
-    /// iterate between outer iterations instead of restaging it.
+    /// Enables the warm-start continuation through the solver stack: Subproblem 2 starts
+    /// its price search at the previous clearing price (paper path: seeds its Newton-like
+    /// loop with the previous solve's `(β, ν)` multipliers and reuses the previous
+    /// `μ`-root bracket), returns the staged previous solution once the rate floors stop
+    /// moving (see [`SolverConfig::warm_rmin_tol`]), Subproblem 1 narrows its
+    /// golden-section bracket around the previous round time, and Algorithm 2 carries the
+    /// previous `(p, B)` iterate between outer iterations instead of restaging it.
     ///
     /// `true` (the default) is the production path: the solver converges to the same fixed
     /// point within the configured tolerances (`outer_tol`, `jong.phi_tol`) along a cheaper
@@ -47,8 +58,8 @@ pub struct SolverConfig {
     /// engine's `FEDOPT_WARM_START=0` escape hatch forces it sweep-wide.
     #[serde(default)]
     pub warm_start: bool,
-    /// Finds the Theorem-2 bandwidth multiplier `μ` with the superlinear Brent iteration
-    /// instead of pure bisection (same bracket, same tolerance, bisection safeguard inside
+    /// Paper SP2 path only. Finds the Theorem-2 bandwidth multiplier `μ` with the
+    /// superlinear Brent iteration instead of pure bisection (same bracket, same tolerance, bisection safeguard inside
     /// the step — see `numopt::roots::brent`). `true` (the default) typically cuts the
     /// `g'(μ)` evaluation count by an order of magnitude; `false` is the legacy
     /// pure-bisection path, pinned bit-identical by regression goldens. Both paths clamp
@@ -56,8 +67,8 @@ pub struct SolverConfig {
     /// bounded by the `mu_tol`-wide final bracket, i.e. within the solver's own tolerance.
     #[serde(default = "default_superlinear_mu")]
     pub superlinear_mu: bool,
-    /// Carries the *width* of the converged warm `μ` bracket across parametric solves in
-    /// addition to its center ([`KktScratch`](crate::KktScratch) already carries the
+    /// Paper SP2 path only. Carries the *width* of the converged warm `μ` bracket across
+    /// parametric solves in addition to its center ([`KktScratch`](crate::KktScratch) already carries the
     /// previous root). The first warm bracket after a reset still opens at the
     /// conservative relative half-width `1e-3`; afterwards the width adapts to how far
     /// the root actually moved last time (clamped to `[1e-5, 1e-3]`), so near-stationary
@@ -71,11 +82,13 @@ pub struct SolverConfig {
     #[serde(default = "default_adaptive_mu_bracket")]
     pub adaptive_mu_bracket: bool,
     /// Maximum relative drift of Subproblem 2's rate floors `r_n^min` (against the previous
-    /// solve's floors) under which the warm-start fast path may skip the Newton-like loop.
-    /// Only read when [`SolverConfig::warm_start`] is set. The fast path additionally
-    /// requires the carried multipliers to satisfy `jong.phi_tol` at the staged point, so
-    /// this bound caps the *constraint* staleness the skip can hide; the objective error it
-    /// admits is of the same relative order. The defaults therefore track `outer_tol` — a
+    /// solve's floors) under which the warm-start fast path may return the staged previous
+    /// solution without solving. Only read when [`SolverConfig::warm_start`] is set. The
+    /// fast path additionally requires the staged point to be the price solver's own last
+    /// answer (paper path: the carried multipliers to satisfy `jong.phi_tol` at it), so this
+    /// bound caps the *constraint* staleness the skip can hide; the sanitize pass raises
+    /// powers to the moved floors, and the objective error it admits is of the same
+    /// relative order. The defaults therefore track `outer_tol` — a
     /// rate-floor movement the outer alternation itself would already call converged is the
     /// natural definition of "the denominators stopped moving".
     #[serde(default = "default_warm_rmin_tol")]
@@ -86,7 +99,7 @@ pub struct SolverConfig {
     /// count. Combined with [`SolverConfig::warm_start`], a re-solve of the *same*
     /// problem then opens at the converged point with matching rate floors, Subproblem
     /// 2's fast path fires on the first outer iteration, and the loop converges
-    /// immediately — zero Jong iterations for an identical repeat.
+    /// immediately.
     ///
     /// `false` (the default) keeps the textbook initialization: every solve's trajectory
     /// is independent of what the workspace solved before, which is what sweeps pin
@@ -188,7 +201,7 @@ mod tests {
         assert!(c.outer_max_iter >= 5);
         assert!(c.outer_tol > 0.0 && c.outer_tol < 1.0);
         assert!(c.bandwidth_floor_hz > 0.0);
-        assert!(c.polish_with_reference);
+        assert!(c.polish_with_reference, "the exact price SP2 is the default");
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!
 //! * [`sp1`] — Subproblem 1 (frequencies + round time): convex, solved directly and through
 //!   the paper's Lagrangian dual (17).
-//! * [`sp2`] — Subproblem 2 (powers + bandwidths): a sum-of-ratios problem, solved with the
-//!   Newton-like parametric method (the paper's Algorithm 1) whose inner problem is the
-//!   Theorem-2 KKT system, plus an independent reference solver for cross-checking.
+//! * [`sp2`] — Subproblem 2 (powers + bandwidths): a sum-of-ratios problem, solved exactly
+//!   by one bandwidth price by default, or with the paper's Newton-like parametric method
+//!   (its Algorithm 1) whose inner problem is the Theorem-2 KKT system.
 //! * [`alg2`] — Algorithm 2: the alternating outer loop, the deadline-constrained variant
 //!   used by Figures 7–8, and the pure delay-minimization path.
 //!

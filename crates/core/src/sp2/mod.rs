@@ -10,21 +10,27 @@
 //!             G_n(p_n, B_n) ≥ r_n^min := d_n / (T − R_l c_n D_n / f_n).
 //! ```
 //!
-//! The objective is a sum of ratios (convex numerators over concave positive denominators),
-//! which the paper tackles with Jong's Newton-like parametric method (its Algorithm 1):
+//! [`solve_with_arrays_in`] solves it one of two ways, picked by
+//! [`SolverConfig::polish_with_reference`]:
 //!
-//! * the generic outer loop lives in [`numopt::fractional`];
-//! * the parametric inner problem `SP2_v2` (equation (21)) is solved in closed form by the
-//!   KKT construction of Theorem 2 — bisection on the bandwidth multiplier `μ`, Lambert-W
-//!   expression (A.4) for the per-device rate multipliers `τ_n`, closed-form bandwidth for
-//!   rate-tight devices and the small LP (A.6) for the rest ([`kkt`]);
-//! * [`reference`](mod@reference) provides an independent direct solver for the *original* ratio objective
-//!   (smallest feasible power per device + price-based bandwidth allocation), used to
-//!   cross-check the Newton-like solution in tests and, when
-//!   [`SolverConfig::polish_with_reference`] is set, to guard against corner cases where the
-//!   KKT construction lands on a slightly worse point.
+//! * **Exact price solver (`true`, the default).** Once every power sits at its smallest
+//!   feasible value the problem is separable and convex in bandwidth, so one bandwidth
+//!   price solves it exactly ([`reference`](mod@reference)). No Newton-like loop, no `μ`
+//!   root, no polish.
+//! * **The paper's path (`false`).** Jong's Newton-like sum-of-ratios loop (the paper's
+//!   Algorithm 1, generic outer loop in [`numopt::fractional`]) with the parametric inner
+//!   problem `SP2_v2` (equation (21)) solved in closed form by the KKT construction of
+//!   Theorem 2 — a root search on the bandwidth multiplier `μ`, the Lambert-W expression
+//!   (A.4) for the per-device rate multipliers `τ_n`, closed-form bandwidth for
+//!   rate-tight devices and the small LP (A.6) for the rest ([`kkt`]). Only this path
+//!   reads [`SolverConfig::jong`], [`SolverConfig::superlinear_mu`],
+//!   [`SolverConfig::adaptive_mu_bracket`] and the warm `μ` bracket; it falls back to the
+//!   price solver only if the loop itself fails.
 //!
 //! [`SolverConfig::polish_with_reference`]: crate::SolverConfig
+//! [`SolverConfig::jong`]: crate::SolverConfig
+//! [`SolverConfig::superlinear_mu`]: crate::SolverConfig
+//! [`SolverConfig::adaptive_mu_bracket`]: crate::SolverConfig
 
 pub mod kkt;
 pub mod reference;
@@ -69,8 +75,8 @@ impl PowerBandwidth {
 }
 
 /// The complete scratch state of a Subproblem-2 solve: KKT buffers, the Newton-like outer
-/// loop's multiplier/history vectors, the double-buffered `(p, B)` points, and the
-/// reference solver's working set.
+/// loop's multiplier/history vectors, the double-buffered `(p, B)` points, and the price
+/// solver's per-device bounds.
 ///
 /// Everything is pure scratch in the [`crate::workspace`] sense — [`solve_with_arrays_in`]
 /// overwrites or clears each buffer before reading it and resizes per scenario, so one
@@ -79,12 +85,13 @@ impl PowerBandwidth {
 /// `(p, B)` with [`Sp2Scratch::stage_start`] immediately before [`solve_with_arrays_in`],
 /// and reads the solution back through [`Sp2Scratch::solution`] immediately after.
 ///
-/// With [`SolverConfig::warm_start`] enabled, three more pieces deliberately survive
-/// between solves and seed the next one: the Newton-like loop's converged `(β, ν)` (in the
-/// [`JongScratch`]), the previous `μ`-bisection root (in the [`KktScratch`]), and the rate
-/// floors of the previous solve (`warm_r_min`, gating the fast path). None of them are ever
-/// read on the cold path, and [`Sp2Scratch::reset_warm_start`] drops them all — the sweep
-/// engine does so at every cell-group boundary so warm-started sweeps stay deterministic.
+/// With [`SolverConfig::warm_start`] enabled, more pieces deliberately survive between
+/// solves and seed the next one: the previous clearing price (price path), the Newton-like
+/// loop's converged `(β, ν)` (in the [`JongScratch`]) and the previous `μ` root (in the
+/// [`KktScratch`]) on the paper path, and on both the rate floors of the previous solve
+/// (`warm_r_min`, gating the fast path). None of them are ever read on the cold path, and
+/// [`Sp2Scratch::reset_warm_start`] drops them all — the sweep engine does so at every
+/// cell-group boundary so warm-started sweeps stay deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct Sp2Scratch {
     /// Scratch of the Theorem-2 KKT construction (the parametric inner solver).
@@ -95,12 +102,13 @@ pub struct Sp2Scratch {
     point: PowerBandwidth,
     /// Second half of the outer loop's point double-buffer.
     spare: PowerBandwidth,
-    /// Candidate point of the reference polish pass.
-    reference: PowerBandwidth,
-    /// Per-device minimum-bandwidth bounds of the reference solver.
-    ref_b_lo: Vec<f64>,
-    /// Warm-start price seed of the reference polish pass.
-    ref_warm: reference::ReferenceWarmState,
+    /// Per-device bandwidth bounds of the price solver.
+    price_bounds: Vec<f64>,
+    /// Warm-start price seed of the price solver.
+    price_warm: reference::ReferenceWarmState,
+    /// Whether the staged point is the price solver's own last solution (cleared by
+    /// [`Sp2Scratch::stage_start`]): the price path's fast path may only return that point.
+    price_point_staged: bool,
     /// Rate floors of the previous warm-start solve (the fast path fires only while the
     /// current floors are within [`SolverConfig::warm_rmin_tol`] of these).
     warm_r_min: Vec<f64>,
@@ -125,6 +133,7 @@ impl Sp2Scratch {
         self.point.powers_w.extend_from_slice(powers_w);
         self.point.bandwidths_hz.clear();
         self.point.bandwidths_hz.extend_from_slice(bandwidths_hz);
+        self.price_point_staged = false;
     }
 
     /// The solution point left behind by the last successful [`solve_with_arrays_in`] call.
@@ -132,14 +141,31 @@ impl Sp2Scratch {
         &self.point
     }
 
-    /// Drops every piece of carried warm-start state (Jong multipliers, `μ` bracket, rate
-    /// floors): the next solve behaves as if this scratch had never solved anything, even
-    /// with [`SolverConfig::warm_start`] enabled.
+    /// Drops every piece of carried warm-start state (clearing price, Jong multipliers,
+    /// `μ` bracket, rate floors): the next solve behaves as if this scratch had never
+    /// solved anything, even with [`SolverConfig::warm_start`] enabled.
     pub fn reset_warm_start(&mut self) {
         self.jong.invalidate_warm();
         self.kkt.reset_warm_start();
-        self.ref_warm.reset();
+        self.price_warm.reset();
         self.warm_r_min_valid = false;
+    }
+
+    /// Whether a warm solve with floors `r_min_bps` may skip the solver: the floors are
+    /// within [`SolverConfig::warm_rmin_tol`] of the previous successful solve's.
+    fn floors_static(&self, r_min_bps: &[f64], config: &SolverConfig) -> bool {
+        self.warm_r_min_valid
+            && self.warm_r_min.len() == r_min_bps.len()
+            && r_min_bps.iter().zip(&self.warm_r_min).all(|(&r, &prev)| {
+                (r - prev).abs() <= config.warm_rmin_tol * r.abs().max(prev.abs()).max(1.0)
+            })
+    }
+
+    /// Records the floors of a successful warm solve for the next fast-path check.
+    fn remember_floors(&mut self, r_min_bps: &[f64]) {
+        self.warm_r_min.clear();
+        self.warm_r_min.extend_from_slice(r_min_bps);
+        self.warm_r_min_valid = true;
     }
 }
 
@@ -150,14 +176,14 @@ pub struct Sp2Summary {
     /// Per-round communication energy `Σ_n p_n d_n / r_n` at the solution (J), *not* scaled
     /// by `w1 R_g`.
     pub comm_energy_per_round_j: f64,
-    /// Whether the Newton-like outer loop reported convergence.
+    /// Whether the solver converged: always on the price path, as reported by the
+    /// Newton-like outer loop on the paper path.
     pub converged: bool,
-    /// Outer (Algorithm-1) iterations used.
+    /// Outer (Algorithm-1) iterations used; `0` on the price path.
     pub iterations: usize,
-    /// `true` when the reference polish replaced the Newton-like solution.
-    pub polished: bool,
-    /// `true` when the warm-start fast path skipped the Newton-like loop (and the polish)
-    /// because the carried multipliers still satisfied `phi_tol` at the staged point.
+    /// `true` when the warm-start fast path returned the staged previous solution without
+    /// solving: the rate floors had not moved and — on the paper path — the carried
+    /// multipliers still satisfied `phi_tol` at the staged point.
     pub fast_path: bool,
     /// Theorem-2 parametric (KKT) solves this call performed.
     pub kkt_solves: u64,
@@ -174,7 +200,7 @@ pub struct Sp2Problem<'a> {
     scenario: &'a Scenario,
     /// Struct-of-arrays lanes of `scenario` — the layout every hot per-device loop (the
     /// Theorem-2 KKT construction, the rate/energy evaluations of the Newton-like outer
-    /// loop, the reference polish) reads instead of walking the profile structs.
+    /// loop, the price solver) reads instead of walking the profile structs.
     arrays: &'a ScenarioArrays,
     /// Constant weight `w1·R_g` multiplying every ratio.
     weight: f64,
@@ -346,17 +372,20 @@ impl FractionalProblem for Sp2Problem<'_> {
 /// solution in [`Sp2Scratch::solution`], performing **zero heap allocations in steady
 /// state** (after the scratch buffers have grown to the scenario's device count once).
 ///
-/// Runs the paper's Algorithm 1 (Newton-like sum-of-ratios loop with the Theorem-2 KKT inner
-/// solver). When [`SolverConfig::polish_with_reference`] is enabled the result is compared
-/// against the direct reference solver on the true communication energy and the better point
-/// is kept. `arrays` is the caller-held lane view of `scenario` (same devices, same order):
-/// Algorithm 2 builds it once per scenario and reuses it across every outer iteration.
+/// With [`SolverConfig::polish_with_reference`] set (the default) this runs only the exact
+/// price solver ([`reference::solve_reference_into`]); the staged point matters only to
+/// the warm fast path. Otherwise it runs the paper's Algorithm 1 (Newton-like
+/// sum-of-ratios loop with the Theorem-2 KKT inner solver) from the staged point, falling
+/// back to the price solver if that loop fails. `arrays` is the caller-held lane view of
+/// `scenario` (same devices, same order): Algorithm 2 builds it once per scenario and
+/// reuses it across every outer iteration.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Model`] for shape mismatches (`r_min_bps` or `arrays` against the
-/// scenario) and [`CoreError::SolverFailure`] if both the Newton-like path and the
-/// reference solver fail. On error the staged point's contents are unspecified.
+/// scenario), [`CoreError::Numerical`] if the price solver fails on the default path (only
+/// on non-finite inputs), and [`CoreError::SolverFailure`] if both the Newton-like path
+/// and its fallback fail. On error the staged point's contents are unspecified.
 ///
 /// [`SolverConfig::polish_with_reference`]: crate::SolverConfig
 pub fn solve_with_arrays_in(
@@ -368,110 +397,117 @@ pub fn solve_with_arrays_in(
     scratch: &mut Sp2Scratch,
 ) -> Result<Sp2Summary, CoreError> {
     let problem = Sp2Problem::new(scenario, arrays, weights, r_min_bps, config)?;
+    if config.polish_with_reference {
+        solve_price_in(&problem, scratch)
+    } else {
+        solve_jong_in(&problem, scratch)
+    }
+}
+
+/// The default path: the exact price solver, or — warm, with the floors within
+/// [`SolverConfig::warm_rmin_tol`] of those it last solved for and its own solution still
+/// staged — that solution, repaired to the current floors by the sanitize pass. The fast
+/// path keeps the solved-for floors as its reference, so floors creeping across many
+/// calls still force a solve.
+fn solve_price_in(
+    problem: &Sp2Problem<'_>,
+    scratch: &mut Sp2Scratch,
+) -> Result<Sp2Summary, CoreError> {
+    let config = problem.config();
+    let fast_path = config.warm_start
+        && scratch.price_point_staged
+        && scratch.floors_static(problem.r_min_bps(), config);
+    scratch.price_point_staged = false; // set again below on success
+    if fast_path {
+        problem.sanitize(&mut scratch.point);
+    } else {
+        scratch.warm_r_min_valid = false;
+        let Sp2Scratch { point, price_bounds, price_warm, .. } = &mut *scratch;
+        reference::solve_reference_into(problem, point, price_bounds, price_warm)?;
+        if config.warm_start {
+            scratch.remember_floors(problem.r_min_bps());
+        }
+    }
+    let energy = problem.comm_energy(&scratch.point);
+    if !energy.is_finite() {
+        return Err(CoreError::Numerical(NumError::NonFiniteValue { at: energy }));
+    }
+    scratch.price_point_staged = true;
+    Ok(Sp2Summary {
+        comm_energy_per_round_j: energy,
+        converged: true,
+        iterations: 0,
+        fast_path,
+        kkt_solves: 0,
+        mu_bisect_evals: 0,
+        lp_sorts: 0,
+    })
+}
+
+/// The paper's path: Jong's Newton-like loop over Theorem-2 KKT solves, from the staged
+/// point, with the price solver as the fallback should the loop fail.
+fn solve_jong_in(
+    problem: &Sp2Problem<'_>,
+    scratch: &mut Sp2Scratch,
+) -> Result<Sp2Summary, CoreError> {
+    let config = problem.config();
     // Lend the caller's KKT buffers to this problem instance for the duration of the solve;
     // they are swapped back (with whatever capacity they grew) before returning.
     std::mem::swap(&mut *problem.scratch_mut(), &mut scratch.kkt);
     let kkt_solves_before = problem.scratch_mut().parametric_solves;
     let mu_evals_before = problem.scratch_mut().mu_bisect_evals;
     let lp_sorts_before = problem.scratch_mut().lp_sorts;
-    let Sp2Scratch {
-        jong,
-        point,
-        spare,
-        reference,
-        ref_b_lo,
-        ref_warm,
-        warm_r_min,
-        warm_r_min_valid,
-        ..
-    } = &mut *scratch;
-
-    problem.sanitize(point);
+    scratch.price_point_staged = false;
 
     // Warm mode: carry the previous solve's (β, ν) whenever warm start is enabled; allow
     // the loop-skipping fast path only while the rate floors — the one part of the
     // constraint set ϕ cannot see — are still where the carried multipliers left them.
-    let mode = if config.warm_start {
-        let n = scenario.devices.len();
-        let floors_static = *warm_r_min_valid
-            && warm_r_min.len() == n
-            && r_min_bps.iter().zip(warm_r_min.iter()).all(|(&r, &prev)| {
-                (r - prev).abs() <= config.warm_rmin_tol * r.abs().max(prev.abs()).max(1.0)
-            });
-        if floors_static {
-            WarmMode::FastPath
-        } else {
-            WarmMode::Multipliers
-        }
-    } else {
+    let mode = if !config.warm_start {
         WarmMode::Cold
+    } else if scratch.floors_static(problem.r_min_bps(), config) {
+        WarmMode::FastPath
+    } else {
+        WarmMode::Multipliers
     };
-    *warm_r_min_valid = false; // revalidated below on success
+    scratch.warm_r_min_valid = false; // revalidated below on success
 
+    let Sp2Scratch { jong, point, spare, price_bounds, price_warm, .. } = &mut *scratch;
+    problem.sanitize(point);
     // Newton-like path, running in place on the staged point (double-buffered with `spare`).
-    let newton = solve_sum_of_ratios_warm_in(&problem, point, spare, config.jong, jong, mode);
+    let newton = solve_sum_of_ratios_warm_in(problem, point, spare, config.jong, jong, mode);
 
-    let mut best_energy = f64::INFINITY;
-    let mut have_best = false;
+    let mut energy = f64::NAN;
     let mut converged = false;
     let mut iterations = 0;
-    let mut polished = false;
     let mut fast_path = false;
-
     if let Ok(summary) = newton {
-        fast_path = summary.iterations == 0 && summary.converged;
         problem.sanitize(point);
-        let energy = problem.comm_energy(point);
-        if energy.is_finite() {
-            best_energy = energy;
-            have_best = true;
-            converged = summary.converged;
-            iterations = summary.iterations;
-        }
+        energy = problem.comm_energy(point);
+        fast_path = summary.iterations == 0 && summary.converged;
+        converged = summary.converged;
+        iterations = summary.iterations;
     }
-
-    // The fast path skips the polish too: the returned point is the previous solve's, and
-    // that solve already compared it against the reference candidate.
-    if (config.polish_with_reference || !have_best)
-        && !fast_path
-        && reference::solve_reference_into(&problem, reference, ref_b_lo, ref_warm).is_ok()
+    if !energy.is_finite()
+        && reference::solve_reference_into(problem, point, price_bounds, price_warm).is_ok()
     {
-        problem.sanitize(reference);
-        let energy = problem.comm_energy(reference);
-        if energy.is_finite() && energy < best_energy {
-            best_energy = energy;
-            have_best = true;
-            polished = true;
-            std::mem::swap(point, reference);
-            if config.warm_start {
-                // The polish replaced the loop's solution, so the carried multipliers no
-                // longer describe the staged point; re-anchor them at the polished point so
-                // the continuation (and its fast path) stays consistent with what the next
-                // solve will see.
-                jong.reanchor(&problem, point);
-            }
-        }
-    }
-
-    if have_best && config.warm_start {
-        warm_r_min.clear();
-        warm_r_min.extend_from_slice(r_min_bps);
-        *warm_r_min_valid = true;
+        energy = problem.comm_energy(point);
+        (converged, iterations, fast_path) = (false, 0, false);
     }
 
     std::mem::swap(&mut *problem.scratch_mut(), &mut scratch.kkt);
-
-    if !have_best {
+    if !energy.is_finite() {
         return Err(CoreError::SolverFailure(
-            "both the Newton-like and reference Subproblem-2 solvers failed".to_string(),
+            "both the Newton-like and the price Subproblem-2 solvers failed".to_string(),
         ));
+    }
+    if config.warm_start {
+        scratch.remember_floors(problem.r_min_bps());
     }
 
     Ok(Sp2Summary {
-        comm_energy_per_round_j: best_energy,
+        comm_energy_per_round_j: energy,
         converged,
         iterations,
-        polished,
         fast_path,
         kkt_solves: scratch.kkt.parametric_solves - kkt_solves_before,
         mu_bisect_evals: scratch.kkt.mu_bisect_evals - mu_evals_before,
@@ -579,7 +615,7 @@ mod tests {
         // Use a scarce band and a binding rate floor (the regime Algorithm 2 actually operates
         // in: the deadline from Subproblem 1 makes every device's rate constraint
         // meaningful). In the loose-constraint corner the Theorem-2 construction is known to
-        // be weaker — that is exactly what `polish_with_reference` is for.
+        // be weaker, one reason the exact price solver is the default.
         let s = ScenarioBuilder::paper_default()
             .with_devices(10)
             .with_total_bandwidth(wireless::units::Hertz::from_mhz(2.0))
@@ -637,10 +673,12 @@ mod tests {
         assert!(b_sum <= s.params.total_bandwidth.value() * (1.0 + 1e-9));
     }
 
+    /// The paper (Jong) path's fast path: the carried multipliers satisfy `phi_tol` at the
+    /// staged previous solution, so an unchanged problem skips the Newton loop.
     #[test]
     fn warm_start_fast_path_fires_on_a_repeated_solve() {
         let (s, cfg) = setup(10, 8);
-        let cfg = cfg.with_warm_start(true);
+        let cfg = SolverConfig { polish_with_reference: false, ..cfg.with_warm_start(true) };
         let r_min: Vec<f64> = s.devices.iter().map(|d| d.upload_bits / 0.05).collect();
         let mut scratch = Sp2Scratch::new();
         let start = equal_start(&s);
@@ -650,7 +688,7 @@ mod tests {
         assert!(first.kkt_solves >= 1);
 
         // Same floors, solution still staged: the carried multipliers satisfy phi at the
-        // staged point, so the whole Newton loop (and the polish) is skipped.
+        // staged point, so the whole Newton loop is skipped.
         let second = solve_staged(&s, Weights::balanced(), &r_min, &cfg, &mut scratch).unwrap();
         assert!(second.fast_path, "expected the fast path on an unchanged problem");
         assert_eq!(second.iterations, 0);
@@ -702,9 +740,100 @@ mod tests {
         );
     }
 
+    /// The price path's fast path: a warm repeat with the solution still staged returns it
+    /// without solving; moved floors, a restaged start or a reset force a real solve.
+    #[test]
+    fn price_path_fast_path_fires_on_a_repeated_solve() {
+        let (s, cfg) = setup(10, 8);
+        let cfg = cfg.with_warm_start(true);
+        let r_min: Vec<f64> = s.devices.iter().map(|d| d.upload_bits / 0.05).collect();
+        let mut scratch = Sp2Scratch::new();
+        let start = equal_start(&s);
+        scratch.stage_start(&start.powers_w, &start.bandwidths_hz);
+        let first = solve_staged(&s, Weights::balanced(), &r_min, &cfg, &mut scratch).unwrap();
+        assert!(!first.fast_path);
+        assert_eq!((first.iterations, first.kkt_solves, first.mu_bisect_evals), (0, 0, 0));
+        let solved = scratch.solution().clone();
+
+        let second = solve_staged(&s, Weights::balanced(), &r_min, &cfg, &mut scratch).unwrap();
+        assert!(second.fast_path, "expected the fast path on an unchanged problem");
+        assert_eq!(second.comm_energy_per_round_j, first.comm_energy_per_round_j);
+        assert_eq!(scratch.solution(), &solved);
+
+        // Floors creeping by 0.6·tol a call: the first step stays on the fast path, the
+        // second is 1.2·tol from the floors last solved for and must solve.
+        let creep = |k: f64| -> Vec<f64> {
+            r_min.iter().map(|r| r * (1.0 + k * 0.6 * cfg.warm_rmin_tol)).collect()
+        };
+        let step1 = solve_staged(&s, Weights::balanced(), &creep(1.0), &cfg, &mut scratch);
+        assert!(step1.unwrap().fast_path, "a sub-tolerance floor move keeps the fast path");
+        let step2 = solve_staged(&s, Weights::balanced(), &creep(2.0), &cfg, &mut scratch);
+        assert!(!step2.unwrap().fast_path, "creeping floors must not dodge a solve forever");
+
+        let moved: Vec<f64> = r_min.iter().map(|r| r * 1.05).collect();
+        let third = solve_staged(&s, Weights::balanced(), &moved, &cfg, &mut scratch).unwrap();
+        assert!(!third.fast_path, "5% floor move must force a real solve");
+
+        // A restaged start is not the solver's own point, so it must be solved from.
+        scratch.stage_start(&start.powers_w, &start.bandwidths_hz);
+        let fourth = solve_staged(&s, Weights::balanced(), &moved, &cfg, &mut scratch).unwrap();
+        assert!(!fourth.fast_path, "a restaged start must never be returned as the solution");
+
+        scratch.reset_warm_start();
+        let fifth = solve_staged(&s, Weights::balanced(), &moved, &cfg, &mut scratch).unwrap();
+        assert!(!fifth.fast_path, "a warm-state reset must force a real solve");
+
+        // Cold solves never take it.
+        let cold = cfg.with_warm_start(false);
+        solve_staged(&s, Weights::balanced(), &r_min, &cold, &mut scratch).unwrap();
+        let again = solve_staged(&s, Weights::balanced(), &r_min, &cold, &mut scratch).unwrap();
+        assert!(!again.fast_path);
+    }
+
+    /// No floor-meeting Jong point is cheaper than the price point: across seeds, device
+    /// counts and windows, the paper path's answer either misses a floor or costs at least
+    /// the price point's energy (to 1e-9 relative).
+    #[test]
+    fn no_floor_meeting_jong_point_beats_the_price_point() {
+        let mut compared = 0;
+        for (n, window) in [(3, 0.05), (10, 0.02), (10, 0.2), (50, 0.01), (50, 0.1)] {
+            for seed in 0..8 {
+                let (s, cfg) = setup(n, seed);
+                let r_min: Vec<f64> = s.devices.iter().map(|d| d.upload_bits / window).collect();
+                let start = equal_start(&s);
+                let jong_cfg = SolverConfig { polish_with_reference: false, ..cfg };
+                let (jong, jong_point) =
+                    solve(&s, Weights::balanced(), &r_min, &start, &jong_cfg).unwrap();
+                let (price, _) = solve(&s, Weights::balanced(), &r_min, &start, &cfg).unwrap();
+                let n0 = s.params.noise.watts_per_hz();
+                let meets_floors = s.devices.iter().enumerate().all(|(i, dev)| {
+                    let rate = shannon_rate_raw(
+                        jong_point.powers_w[i],
+                        jong_point.bandwidths_hz[i],
+                        dev.gain.value(),
+                        n0,
+                    );
+                    rate >= r_min[i] * (1.0 - cfg.feasibility_tol)
+                });
+                if meets_floors {
+                    compared += 1;
+                    assert!(
+                        price.comm_energy_per_round_j
+                            <= jong.comm_energy_per_round_j * (1.0 + 1e-9),
+                        "n {n}, seed {seed}, window {window}: price {} above Jong {}",
+                        price.comm_energy_per_round_j,
+                        jong.comm_energy_per_round_j
+                    );
+                }
+            }
+        }
+        assert!(compared >= 10, "only {compared} floor-meeting Jong points to compare against");
+    }
+
     #[test]
     fn warm_start_spends_fewer_mu_bisection_evals() {
         let (s, cfg) = setup(10, 10);
+        let cfg = SolverConfig { polish_with_reference: false, ..cfg };
         let cold_cfg = cfg.with_warm_start(false);
         let warm_cfg = cfg.with_warm_start(true);
         let start = equal_start(&s);
@@ -731,6 +860,57 @@ mod tests {
             warm_mu < cold_mu,
             "warm μ-bracket reuse must save g'(μ) evaluations: warm {warm_mu} vs cold {cold_mu}"
         );
+    }
+
+    /// Smallest bandwidth at which device `i` meets `r` at full power (bisection; the test
+    /// oracle for "is this floor satisfiable at all").
+    fn b_lo_at_p_max(s: &Scenario, i: usize, r: f64) -> f64 {
+        let dev = &s.devices[i];
+        let n0 = s.params.noise.watts_per_hz();
+        let (mut lo, mut hi) = (0.0, s.params.total_bandwidth.value());
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if shannon_rate_raw(dev.p_max.value(), mid, dev.gain.value(), n0) >= r {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
+    }
+
+    /// Regression: the default Subproblem-2 point must meet every rate floor whenever the
+    /// floors fit in the band at full power. The Newton-plus-polish default kept a Jong
+    /// point that missed one device's floor by 28% (seed 0) and 27.6% (seed 10) here,
+    /// because it compared candidates on energy alone.
+    #[test]
+    fn default_point_meets_every_satisfiable_rate_floor() {
+        for seed in [0, 10] {
+            let (s, cfg) = setup(50, seed);
+            let r_min: Vec<f64> = s.devices.iter().map(|d| d.upload_bits / 0.01).collect();
+            let lo_sum: f64 = (0..s.devices.len()).map(|i| b_lo_at_p_max(&s, i, r_min[i])).sum();
+            assert!(lo_sum < s.params.total_bandwidth.value(), "seed {seed}: floors unsatisfiable");
+            let n0 = s.params.noise.watts_per_hz();
+            for warm in [true, false] {
+                let cfg = cfg.with_warm_start(warm);
+                let (_, sol) =
+                    solve(&s, Weights::balanced(), &r_min, &equal_start(&s), &cfg).unwrap();
+                for (i, dev) in s.devices.iter().enumerate() {
+                    let rate = shannon_rate_raw(
+                        sol.powers_w[i],
+                        sol.bandwidths_hz[i],
+                        dev.gain.value(),
+                        n0,
+                    );
+                    assert!(
+                        rate >= r_min[i] * (1.0 - cfg.feasibility_tol),
+                        "seed {seed}, warm {warm}, device {i}: rate {rate} misses floor {} by {:.3}%",
+                        r_min[i],
+                        100.0 * (1.0 - rate / r_min[i])
+                    );
+                }
+            }
+        }
     }
 
     #[test]

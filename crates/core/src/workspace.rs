@@ -22,8 +22,9 @@
 //! * [`SolverWorkspace::counters`] accumulates iteration counts across solves —
 //!   instrumentation only, never read by any solver.
 //! * With [`SolverConfig::warm_start`](crate::SolverConfig) **enabled**, the Subproblem-2
-//!   scratch deliberately carries the previous solve's Jong multipliers, `μ`-bisection
-//!   bracket and rate floors to seed the next solve. Results then converge to the same
+//!   scratch deliberately carries the previous solve's clearing price (or, on the paper
+//!   path, its Jong multipliers and `μ`-root bracket) and rate floors to seed the next
+//!   solve. Results then converge to the same
 //!   fixed point within the configured tolerances but may differ in the last bits
 //!   depending on what the workspace solved before;
 //!   [`SolverWorkspace::reset_warm_start`] restores the fresh-workspace behaviour. With
@@ -64,7 +65,7 @@ pub struct SolverWorkspace {
     /// 1, the deadline split, or a baseline's frequency rule).
     pub frequencies_hz: Vec<f64>,
     /// Complete Subproblem-2 scratch: KKT buffers, the Newton-like outer loop's vectors,
-    /// the double-buffered `(p, B)` points and the reference polish's working set (see
+    /// the double-buffered `(p, B)` points and the price solver's per-device bounds (see
     /// [`Sp2Scratch`]). Its staged point is the start and the result of every
     /// [`crate::sp2::solve_with_arrays_in`] call made through this workspace.
     pub sp2: Sp2Scratch,
@@ -129,9 +130,10 @@ impl SolverWorkspace {
         }
     }
 
-    /// Drops every piece of carried warm-start state (Jong multipliers, `μ` bracket, rate
-    /// floors), restoring fresh-workspace behaviour for the next warm-started solve. A
-    /// no-op for results when [`SolverConfig::warm_start`](crate::SolverConfig) is off.
+    /// Drops every piece of carried warm-start state (clearing price, Jong multipliers,
+    /// `μ` bracket, rate floors), restoring fresh-workspace behaviour for the next
+    /// warm-started solve. A no-op for results when
+    /// [`SolverConfig::warm_start`](crate::SolverConfig) is off.
     pub fn reset_warm_start(&mut self) {
         self.sp2.reset_warm_start();
         self.sp1_warm.reset();

@@ -91,10 +91,12 @@ proptest! {
     }
 }
 
-/// One cold solve's counters at a given device count.
+/// One cold solve's counters at a given device count, on the paper (Jong) path — the only
+/// one that runs the `μ`-root search.
 fn cold_solve_counters(devices: usize, superlinear: bool) -> fedopt_core::SolveCounters {
     let scenario = ScenarioBuilder::paper_default().with_devices(devices).build(11).unwrap();
-    let cfg = SolverConfig::fast().with_warm_start(false).with_superlinear_mu(superlinear);
+    let paper = SolverConfig { polish_with_reference: false, ..SolverConfig::fast() };
+    let cfg = paper.with_warm_start(false).with_superlinear_mu(superlinear);
     let mut ws = SolverWorkspace::with_capacity(devices);
     JointOptimizer::new(cfg)
         .solve_summary_with(&scenario, Weights::new(0.5, 0.5).unwrap(), &mut ws)

@@ -469,21 +469,19 @@ impl SweepEngine {
             .and_then(|v| v.parse::<usize>().ok())
             .and_then(NonZeroUsize::new)
             .unwrap_or_else(|| std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN));
-        let warm_start = warm_start_env().unwrap_or(true);
-        Self {
-            threads,
-            seed_chunk: NonZeroUsize::new(DEFAULT_SEED_CHUNK).expect("nonzero"),
-            warm_start,
-            superlinear_mu: true,
-            adaptive_mu_bracket: true,
-        }
+        Self::with_threads(threads.get())
     }
 
-    /// An engine with an explicit worker count (clamped to at least 1).
+    /// An engine with an explicit worker count (clamped to at least 1). It never queries
+    /// the host's parallelism, which reads the cgroup limits and costs more than compiling
+    /// a whole spec.
     pub fn with_threads(threads: usize) -> Self {
         Self {
             threads: NonZeroUsize::new(threads.max(1)).expect("max(1) is nonzero"),
-            ..Self::new()
+            seed_chunk: NonZeroUsize::new(DEFAULT_SEED_CHUNK).expect("nonzero"),
+            warm_start: warm_start_env().unwrap_or(true),
+            superlinear_mu: true,
+            adaptive_mu_bracket: true,
         }
     }
 

@@ -18,8 +18,8 @@
 //! setting (`0` is the cold escape hatch) still overrides either direction.
 //!
 //! Beyond the seven figures, [`large_n`] is the fleet-scale quick preset: one sweep point
-//! at a caller-chosen device count (10³–10⁶), few seeds, the reference polish disabled —
-//! the spec-expressible form of the `large_n` benchmark scenarios.
+//! at a caller-chosen device count (10³–10⁶), few seeds, the fast solver preset — the
+//! spec-expressible form of the `large_n` benchmark scenarios.
 
 use crate::spec::{
     ArmKind, ArmSpec, AxisKind, AxisSpec, BenchmarkDraw, DeadlineSpec, ExperimentSpec, Metric,
@@ -365,16 +365,12 @@ pub fn fig8(variant: Variant) -> ExperimentSpec {
 /// seed, the balanced-weights proposed arm only.
 ///
 /// This is the spec-expressible form of the `large_n` benchmark scenarios (10³–10⁶
-/// devices — the [`crate::spec::MAX_DEVICES`] guardrail still applies at validation).
-/// Two deliberate departures from the figure presets:
-///
-/// * the **reference polish is off** (`solver.polish_with_reference = Some(false)`): the
-///   Subproblem-2 reference polish re-evaluates an `O(n)` demand curve inside a 300-step
-///   price search per solve, which is noise at paper scale and dominant past ~10³
-///   devices, while the KKT path it cross-checks is itself `O(n log n)`;
-/// * the seed grid is a single draw: at fleet scale the per-scenario solve *is* the
-///   experiment, and averaging belongs in seed-sharded shards (see
-///   [`crate::spec::MAX_SEEDS`]).
+/// devices — the [`crate::spec::MAX_DEVICES`] guardrail still applies at validation). It
+/// runs the default exact-price Subproblem 2, which is `O(n)` per price evaluation and
+/// ~30× faster than the paper's Jong path at 10⁴ devices. One deliberate departure from
+/// the figure presets: the seed grid is a single draw, because at fleet scale the
+/// per-scenario solve *is* the experiment, and averaging belongs in seed-sharded shards
+/// (see [`crate::spec::MAX_SEEDS`]).
 pub fn large_n(devices: usize) -> ExperimentSpec {
     let mut spec = ExperimentSpec::new(
         "large_n",
@@ -382,10 +378,9 @@ pub fn large_n(devices: usize) -> ExperimentSpec {
     );
     spec.description = format!(
         "large_n (quick preset): one balanced-weights solve of a {devices}-device scenario \
-         (fleet-scale hot-path exercise; reference polish off)"
+         (fleet-scale hot-path exercise)"
     );
     spec.solver = SolverSpec::fast();
-    spec.solver.polish_with_reference = Some(false);
     spec.scenario.samples_per_device = Some(500);
     spec.arms = vec![ArmSpec::new(ArmKind::Proposed { weights: Weights::balanced() })];
     spec.seeds = SeedSpec::list(vec![1]);
@@ -599,13 +594,14 @@ mod tests {
     }
 
     #[test]
-    fn large_n_preset_validates_and_disables_the_reference_polish() {
+    fn large_n_preset_validates_and_runs_the_default_price_path() {
         for devices in [1_000usize, 10_000, 100_000] {
             let spec = large_n(devices);
             spec.validate().unwrap_or_else(|e| panic!("large_n({devices}): {e}"));
             assert_eq!(spec.axis.kind, AxisKind::Devices);
             assert_eq!(spec.axis.values, vec![devices as f64]);
-            assert_eq!(spec.solver.polish_with_reference, Some(false));
+            assert_eq!(spec.solver.polish_with_reference, None);
+            assert!(spec.solver.resolve().polish_with_reference, "fleet solves use the price path");
             assert_eq!(spec.arms.len(), 1);
         }
         // Past the guardrail the spec must fail loudly at validation.

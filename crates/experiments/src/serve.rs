@@ -1116,12 +1116,14 @@ mod tests {
             assert_eq!(v.get("seq").and_then(Json::as_u64), Some(i as u64));
             assert_eq!(v.get("kind").and_then(Json::as_str), Some(RESPONSE_KIND));
         }
-        // The duplicate request reuses the warm state, and the PR 4 fast path resolves
-        // it without a single Jong iteration.
+        // The duplicate request reuses the warm state: the SP2 fast path returns the
+        // carried solution, and no Jong iteration runs.
         assert_eq!(lines[1].get("warm").and_then(Json::as_str), Some("hit"));
-        let jong =
-            lines[1].get("counters").and_then(|c| c.get("jong_iterations")).and_then(Json::as_u64);
-        assert_eq!(jong, Some(0), "a warm cache hit must solve with 0 Jong iterations");
+        let counter = |key: &str| {
+            lines[1].get("counters").and_then(|c| c.get(key)).and_then(Json::as_u64).unwrap()
+        };
+        assert_eq!(counter("jong_iterations"), 0, "a warm cache hit must run no Jong iteration");
+        assert!(counter("sp2_fast_path_hits") >= 1, "a warm cache hit must take the fast path");
         // Warm and cold answers agree within the solver tolerance.
         let warm = lines[1].get("energy_j").and_then(Json::as_f64).unwrap();
         let cold = lines[0].get("energy_j").and_then(Json::as_f64).unwrap();

@@ -70,7 +70,7 @@ pub const MAX_SEEDS: u64 = 10_000_000;
 /// a *sweep* over such scenarios is not a unit of work this crate schedules — past the
 /// guardrail the spec layer fails loudly and points at the [`crate::presets::large_n`]
 /// quick preset, which expresses the fleet-scale single-scenario experiment (few seeds,
-/// reference polish off) instead of a paper-style grid. Mirrors the [`MAX_SEEDS`] cap: it
+/// the fast solver preset) instead of a paper-style grid. Mirrors the [`MAX_SEEDS`] cap: it
 /// bounds a unit of work, not the protocol.
 pub const MAX_DEVICES: usize = 1_000_000;
 

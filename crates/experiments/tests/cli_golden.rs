@@ -82,6 +82,7 @@ fn every_figure_quick_json_document_matches_golden() {
 fn fig2_quick_seeds3_legacy_bisection_path_is_bit_identical() {
     let mut spec = presets::spec(2, Variant::Quick).expect("figure 2 exists");
     spec.override_seed_count(3);
+    spec.solver.polish_with_reference = Some(false);
     let engine = SweepEngine::single_thread().with_warm_start(false).with_superlinear_mu(false);
     let run = spec.run_with_engine(&engine).expect("fig2 quick must evaluate");
     let document = cli::run_document(&spec, &run).to_pretty_string();

@@ -16,6 +16,14 @@ fn fig2_quick() -> ExperimentSpec {
     presets::fig2(Variant::Quick)
 }
 
+/// The fig2 quick preset on the paper's Subproblem-2 path (Jong's Newton-like loop over
+/// Theorem-2 KKT solves) — the only path with Jong iterations and `μ` evaluations to count.
+fn fig2_quick_paper_path() -> ExperimentSpec {
+    let mut spec = fig2_quick();
+    spec.solver.polish_with_reference = Some(false);
+    spec
+}
+
 /// Figure 7's quick preset at `devices` devices with a 30 s deadline no draw can meet, so
 /// infeasible cells are part of the output.
 fn fig7_with_infeasible_cells(devices: usize) -> ExperimentSpec {
@@ -111,12 +119,12 @@ fn warm_started_sweeps_are_bit_identical_across_thread_counts() {
 }
 
 /// The warm-start acceptance evidence in counter form, not wall clock: on the fig2 quick
-/// grid a warm sweep must spend strictly fewer Jong iterations and μ-bisection
-/// evaluations than the cold sweep, hit the fast path at least once, and never take more
-/// outer iterations — while agreeing with the cold means to solver tolerance.
+/// grid (paper SP2 path) a warm sweep must spend strictly fewer Jong iterations and
+/// μ-bisection evaluations than the cold sweep, hit the fast path at least once, and never
+/// take more outer iterations — while agreeing with the cold means to solver tolerance.
 #[test]
 fn warm_sweep_spends_strictly_fewer_iterations_than_cold_on_fig2_quick() {
-    let spec = fig2_quick();
+    let spec = fig2_quick_paper_path();
     let cold = sweep(&spec, &SweepEngine::with_threads(2).with_warm_start(false));
     let warm = sweep(&spec, &SweepEngine::with_threads(2).with_warm_start(true));
 
@@ -155,6 +163,44 @@ fn warm_sweep_spends_strictly_fewer_iterations_than_cold_on_fig2_quick() {
     }
 }
 
+/// The default SP2 path in counter form, the gate CI can hold without wall clocks: the
+/// fig2 quick run document (cold and warm) reports zero Jong iterations, KKT solves and
+/// `μ` evaluations, and so do figures 7 and 8 — the deadline alternation and the
+/// comm-only, comp-only and Scheme 1 baselines. On the warm weighted sweep the price
+/// path's fast path fires and the means agree with the cold sweep to `outer_tol`.
+#[test]
+fn default_sweeps_never_enter_the_jong_loop() {
+    let solver_counters = |spec: &ExperimentSpec, warm: bool| {
+        let engine = SweepEngine::with_threads(2).with_warm_start(warm);
+        let run = spec.run_with_engine(&engine).expect("quick preset must evaluate");
+        let document = experiments::cli::run_document(spec, &run);
+        let solver = document.get("counters").and_then(|c| c.get("solver")).cloned().unwrap();
+        let count = |key: &str| solver.get(key).and_then(experiments::json::Json::as_u64);
+        let jong = ["jong_iterations", "kkt_solves", "mu_bisect_evals"].map(count);
+        (jong, count("sp2_fast_path_hits").unwrap(), count("outer_iterations").unwrap())
+    };
+    for spec in [fig2_quick(), presets::fig7(Variant::Quick), presets::fig8(Variant::Quick)] {
+        for warm in [false, true] {
+            let (jong, fast, outer) = solver_counters(&spec, warm);
+            assert_eq!(jong, [Some(0); 3], "{} (warm {warm}) entered the Jong loop", spec.id);
+            assert!(outer > 0, "{} (warm {warm}) ran no outer iteration", spec.id);
+            if spec.id == "fig2" {
+                assert_eq!(fast > 0, warm, "fig2 fast-path hits {fast} (warm {warm})");
+            }
+        }
+    }
+
+    let cold = sweep(&fig2_quick(), &SweepEngine::with_threads(2).with_warm_start(false));
+    let warm = sweep(&fig2_quick(), &SweepEngine::with_threads(2).with_warm_start(true));
+    assert!(warm.counters.solver.outer_iterations <= cold.counters.solver.outer_iterations);
+    for (cold_row, warm_row) in cold.aggregates.iter().zip(&warm.aggregates) {
+        for (a, b) in cold_row.iter().zip(warm_row) {
+            let rel = (a.mean_energy_j - b.mean_energy_j).abs() / a.mean_energy_j;
+            assert!(rel <= fig2_quick().solver.resolve().outer_tol, "warm mean drifted by {rel}");
+        }
+    }
+}
+
 /// The PR 7 solver-speed satellite in counter form: carrying the warm `μ`-bracket *width*
 /// across the solves of a cell-group (the adaptive default) must spend strictly fewer
 /// `g'(μ)` evaluations on the warm fig2 quick grid than the fixed-width bracket
@@ -164,7 +210,7 @@ fn warm_sweep_spends_strictly_fewer_iterations_than_cold_on_fig2_quick() {
 #[test]
 fn adaptive_mu_bracket_spends_strictly_fewer_mu_evals_on_warm_fig2_quick() {
     assert!(SweepEngine::new().adaptive_mu_bracket(), "adaptive width is the default");
-    let spec = fig2_quick();
+    let spec = fig2_quick_paper_path();
     let warm = SweepEngine::with_threads(2).with_warm_start(true);
     let fixed = sweep(&spec, &warm.with_adaptive_mu_bracket(false));
     let adaptive = sweep(&spec, &warm);

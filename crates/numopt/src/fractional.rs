@@ -125,32 +125,6 @@ impl JongScratch {
     pub fn warm_available(&self, n: usize) -> bool {
         self.warm_valid && self.beta.len() == n && self.nu.len() == n
     }
-
-    /// Re-anchors the carried `(β, ν)` at `x` (the cold-initialization formulas evaluated
-    /// there) and marks the seed valid. Callers use this when they *replace* the loop's
-    /// solution with a point of their own — `fedopt-core`'s reference polish — so the
-    /// continuation stays consistent with the point the next solve will see staged. The
-    /// seed is invalidated instead if any denominator is non-positive.
-    pub fn reanchor<P, F>(&mut self, problem: &F, x: &P)
-    where
-        F: FractionalProblem<Point = P> + ?Sized,
-    {
-        let n = problem.len();
-        self.beta.clear();
-        self.beta.resize(n, 0.0);
-        self.nu.clear();
-        self.nu.resize(n, 0.0);
-        for i in 0..n {
-            let d = problem.denominator(i, x);
-            if d <= 0.0 || !d.is_finite() {
-                self.warm_valid = false;
-                return;
-            }
-            self.beta[i] = problem.numerator(i, x) / d;
-            self.nu[i] = problem.ratio_weight(i) / d;
-        }
-        self.warm_valid = true;
-    }
 }
 
 /// How much state from the previous solve [`solve_sum_of_ratios_warm_in`] may reuse.

@@ -11,10 +11,11 @@
 //!
 //! * the sweep completes and every report row is finite (the solver converged through the
 //!   struct-of-arrays path at fleet scale);
-//! * the scalar searches stayed flat in `n`: the `g'(μ)`-evaluation and SP1-probe counts
-//!   are bounded by constants that a per-device (`O(n · evals)`) regression would blow
-//!   through by orders of magnitude;
-//! * the Theorem-2 step-4b `(ρ, idx)` sort ran at most once per parametric KKT solve.
+//! * Subproblem 2 ran on the exact price path: no Jong iteration, KKT solve or `g'(μ)`
+//!   evaluation;
+//! * the scalar searches stayed flat in `n`: the SP1-probe count is bounded by a constant
+//!   that a per-device (`O(n · evals)`) regression would blow through by orders of
+//!   magnitude.
 
 use fedopt::experiments::presets;
 use std::time::Instant;
@@ -59,25 +60,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     assert!(k.outer_iterations > 0, "the solve never iterated");
-    assert!(k.mu_bisect_evals > 0, "the μ-root search never ran");
-    // Flat-in-n ceilings: one cold solve measures ~450 μ-evals and ~260 SP1 probes at
-    // every device count from 10³ to 10⁵ (BENCH_PR6.json). A regression that made either
-    // search iterate per device would overshoot these bounds a thousandfold.
-    assert!(
-        k.mu_bisect_evals < 5_000,
-        "μ-evals exploded: {} (expected a flat, n-independent count)",
-        k.mu_bisect_evals
+    assert_eq!(
+        (k.jong_iterations, k.kkt_solves, k.mu_bisect_evals),
+        (0, 0, 0),
+        "the default SP2 path must never enter the Jong loop"
     );
+    // Flat-in-n ceiling: one cold solve measures ~260 SP1 probes at every device count
+    // from 10³ to 10⁵ (BENCH_PR6.json). A regression that made the search iterate per
+    // device would overshoot this bound a thousandfold.
     assert!(
         k.sp1_probe_evals < 5_000,
         "SP1 probes exploded: {} (expected a flat, n-independent count)",
         k.sp1_probe_evals
-    );
-    assert!(
-        k.lp_sorts <= k.kkt_solves,
-        "the step-4b LP sorted more than once per KKT solve ({} sorts, {} solves)",
-        k.lp_sorts,
-        k.kkt_solves
     );
 
     println!("large_n smoke OK");

@@ -64,13 +64,14 @@ fn a_replayed_request_stream_is_byte_identical_and_fully_typed() {
     let lines = response_lines(&first);
     let statuses: Vec<String> = lines.iter().map(status_of).collect();
     assert_eq!(statuses, ["ok", "ok", "invalid", "ok"]);
-    // The warm-cache hit resolves with zero Jong iterations — counter-asserted through
-    // the real binary, not just the in-process unit suite.
+    // The warm-cache hit takes the SP2 fast path and runs zero Jong iterations —
+    // counter-asserted through the real binary, not just the in-process unit suite.
     let warm = &lines[1];
     assert_eq!(warm.get("warm").and_then(Json::as_str), Some("hit"));
-    let jong =
-        warm.get("counters").and_then(|c| c.get("jong_iterations")).and_then(Json::as_u64).unwrap();
-    assert_eq!(jong, 0, "a warm-cache hit must skip the Newton-like loop entirely");
+    let counter =
+        |key: &str| warm.get("counters").and_then(|c| c.get(key)).and_then(Json::as_u64).unwrap();
+    assert_eq!(counter("jong_iterations"), 0, "a warm-cache hit must skip the Newton-like loop");
+    assert!(counter("sp2_fast_path_hits") >= 1, "a warm-cache hit must take the SP2 fast path");
     // The stats line is the run's stderr summary.
     let stderr = String::from_utf8_lossy(&first.stderr);
     assert!(stderr.contains("fedopt-serve-stats requests=4"), "{stderr}");
