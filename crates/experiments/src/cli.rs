@@ -57,7 +57,7 @@
 //! every branch here is exercisable from unit tests.
 
 use crate::fault::{FaultKind, FaultPlan};
-use crate::json::Json;
+use crate::json::{Json, Obj, Path, Record};
 use crate::presets::{self, Variant};
 use crate::report::FigureReport;
 use crate::serve::{self, ServeOptions};
@@ -760,34 +760,21 @@ pub fn run_document_with_fleet(
     run: &SpecRun,
     fleet: Option<&FleetStats>,
 ) -> Json {
-    let counters = &run.result.counters;
-    let solver = &counters.solver;
-    let mut solver_members = vec![
-        ("outer_iterations", Json::uint(solver.outer_iterations)),
-        ("jong_iterations", Json::uint(solver.jong_iterations)),
-        ("kkt_solves", Json::uint(solver.kkt_solves)),
-        ("mu_bisect_evals", Json::uint(solver.mu_bisect_evals)),
-        ("sp2_fast_path_hits", Json::uint(solver.sp2_fast_path_hits)),
-    ];
-    if solver.degraded_solves > 0 {
-        solver_members.push(("degraded_solves", Json::uint(solver.degraded_solves)));
-    }
-    let mut counter_members = vec![
-        ("scenarios_built", Json::uint(counters.scenarios_built as u64)),
-        ("cells_evaluated", Json::uint(counters.cells_evaluated as u64)),
-        ("solver", Json::obj(solver_members)),
-    ];
+    let mut counter_members = Vec::new();
+    run.result.counters.write(&mut counter_members, true);
     if let Some(stats) = fleet {
         if stats.cache_enabled {
-            counter_members.push(("shard_cache_hits", Json::uint(stats.shard_cache_hits)));
-            counter_members.push(("shard_cache_misses", Json::uint(stats.shard_cache_misses)));
+            counter_members
+                .push(("shard_cache_hits".to_string(), Json::uint(stats.shard_cache_hits)));
+            counter_members
+                .push(("shard_cache_misses".to_string(), Json::uint(stats.shard_cache_misses)));
         }
     }
     let mut members = vec![
         ("schema_version".to_string(), Json::uint(crate::spec::SCHEMA_VERSION)),
         ("spec_id".to_string(), Json::Str(spec.id.clone())),
         ("reports".to_string(), Json::Arr(run.reports.iter().map(FigureReport::to_json).collect())),
-        ("counters".to_string(), Json::obj(counter_members)),
+        ("counters".to_string(), Json::Obj(counter_members)),
     ];
     if let Some(stats) = fleet {
         if !stats.holes.is_empty() {
@@ -1138,12 +1125,17 @@ fn run_fill_holes(
     let doc = Json::parse(&text).map_err(|e| {
         CliError::runtime(format!("--fill-holes: {report_path} is not a JSON run document: {e}"))
     })?;
-    let doc_spec_id = doc.get("spec_id").and_then(Json::as_str).ok_or_else(|| {
+    let no_spec_id = || {
         CliError::runtime(format!(
             "--fill-holes: {report_path} carries no spec_id — is it a `fedopt run --json` \
              document?"
         ))
-    })?;
+    };
+    // A partial read: the document's other members are not this reader's business, so
+    // there is no `Obj::end`.
+    let root = Path::Root(report_path);
+    let mut obj = Obj::new(&doc, &root).map_err(|_| no_spec_id())?;
+    let doc_spec_id: String = obj.req("spec_id").map_err(|_| no_spec_id())?;
     if doc_spec_id != spec.id {
         return Err(CliError::runtime(format!(
             "--fill-holes: {report_path} documents spec {doc_spec_id:?} but the command \
@@ -1151,22 +1143,23 @@ fn run_fill_holes(
             spec.id
         )));
     }
-    let holes = doc
-        .get("shard_holes")
-        .and_then(Json::as_array)
-        .filter(|holes| !holes.is_empty())
+    let holes: Vec<Json> = obj
+        .opt("shard_holes")
+        .ok()
+        .flatten()
+        .filter(|holes: &Vec<Json>| !holes.is_empty())
         .ok_or_else(|| {
-        CliError::runtime(format!(
-            "--fill-holes: {report_path} reports no shard_holes — the document is \
+            CliError::runtime(format!(
+                "--fill-holes: {report_path} reports no shard_holes — the document is \
                  already complete, nothing to fill"
-        ))
-    })?;
-    let shard_count = doc.get("shard_count").and_then(Json::as_u64).ok_or_else(|| {
+            ))
+        })?;
+    let shard_count: usize = obj.req("shard_count").map_err(|_| {
         CliError::runtime(format!(
             "--fill-holes: {report_path} records no shard_count — only salvaged documents \
              from `--shards N --allow-partial` runs are resumable"
         ))
-    })? as usize;
+    })?;
     let missing: Vec<&str> =
         holes.iter().filter_map(|hole| hole.get("seeds").and_then(Json::as_str)).collect();
     eprintln!(

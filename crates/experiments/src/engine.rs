@@ -53,6 +53,7 @@
 //! and its stateful sibling [`par_map_indexed_with`]); the environment cannot fetch
 //! `rayon`, and the engine needs nothing more than an indexed parallel map.
 
+use crate::json::json_record;
 use crate::report::FigureReport;
 use fedopt_core::{CoreError, SolveCounters, SolverConfig, SolverWorkspace};
 use flsys::{Scenario, ScenarioBuilder};
@@ -367,6 +368,26 @@ impl SweepCounters {
         self.solver.add(&other.solver);
     }
 }
+
+// The shard wire carries every counter. The brief form — the `fedopt run --json`
+// document and each serve response — leaves out the search-effort counters and shows
+// `degraded_solves` only when a solve degraded, so fault-free output keeps its bytes.
+json_record! { SolveCounters {
+    "outer_iterations" => outer_iterations,
+    "jong_iterations" => jong_iterations,
+    "kkt_solves" => kkt_solves,
+    "mu_bisect_evals" => mu_bisect_evals,
+    "sp2_fast_path_hits" => sp2_fast_path_hits,
+    "sp1_probe_evals" => sp1_probe_evals: full_only,
+    "lp_sorts" => lp_sorts: full_only,
+    "degraded_solves" => degraded_solves: brief_nonzero,
+}}
+
+json_record! { SweepCounters {
+    "scenarios_built" => scenarios_built,
+    "cells_evaluated" => cells_evaluated,
+    "solver" => solver,
+}}
 
 /// The evaluated grid: one [`Aggregate`] per (point, arm).
 #[derive(Debug, Clone, PartialEq)]

@@ -1,6 +1,6 @@
-//! A small, dependency-free JSON value model with a deterministic writer and a strict
-//! parser — the wire format of [`crate::spec::ExperimentSpec`] and the machine-readable
-//! [`crate::report::FigureReport`] emitter.
+//! A small, dependency-free JSON value model with a deterministic writer, a strict
+//! parser and a typed codec — the wire format of [`crate::spec::ExperimentSpec`], serve
+//! requests, shard results and the machine-readable [`crate::report::FigureReport`].
 //!
 //! The build environment cannot fetch `serde_json` (the workspace's `serde` is an offline
 //! marker shim), so this module implements exactly the subset the experiment stack needs:
@@ -19,6 +19,12 @@
 //!   as `f64`, so integers are exact below `2^53` (the spec layer validates its `u64`
 //!   seeds against that bound instead of silently rounding; `2^53` itself is excluded
 //!   because `2^53 + 1` would alias onto it).
+//! * **One description per wire type** — the crate-internal `Field` trait gives a value
+//!   its one encoding and its strict reader. Leaf types implement it here; each record
+//!   type declares a field table with `json_record!` next to its definition, and the
+//!   writer, the reader and the allowed-key list all come from that table. Every reader
+//!   goes through `Obj`, whose errors carry the dotted path of the offending value and
+//!   reject unknown members by name.
 
 use std::fmt;
 
@@ -541,6 +547,356 @@ impl Parser<'_> {
         Ok(Json::Num(value))
     }
 }
+
+// ---------------------------------------------------------------------------
+// Typed codec: one description per wire type
+// ---------------------------------------------------------------------------
+
+/// Where a value sits in a document, rendered as a dotted path (`spec.arms[2].scenario`)
+/// only when an error needs it: reading a valid document builds no path strings.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Path<'a> {
+    /// The document itself, under a display name (`spec`, `request`, `shard`).
+    Root(&'a str),
+    /// A member of an object.
+    Key(&'a Path<'a>, &'a str),
+    /// An element of an array.
+    Index(&'a Path<'a>, usize),
+}
+
+impl fmt::Display for Path<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Path::Root(name) => f.write_str(name),
+            Path::Key(parent, key) => write!(f, "{parent}.{key}"),
+            Path::Index(parent, i) => write!(f, "{parent}[{i}]"),
+        }
+    }
+}
+
+/// Why a well-formed JSON document does not describe the value it should.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ReadError {
+    /// Dotted path of the offending value, e.g. `spec.axis.values[2]`.
+    pub(crate) path: String,
+    /// What is wrong with it.
+    pub(crate) message: String,
+}
+
+impl ReadError {
+    /// An error at `path`.
+    pub(crate) fn new(path: &Path<'_>, message: impl Into<String>) -> Self {
+        Self { path: path.to_string(), message: message.into() }
+    }
+}
+
+impl fmt::Display for ReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.path, self.message)
+    }
+}
+
+impl std::error::Error for ReadError {}
+
+/// A value with exactly one JSON encoding, written by [`Field::to_json`] and read back
+/// strictly by [`Field::from_json`]. Leaf types implement it by hand; record types get it
+/// from their `json_record!` table.
+pub(crate) trait Field: Sized {
+    /// The full encoding, or with `brief` the brief one that run documents and serve
+    /// responses carry (they differ only for tables with `full_only` or `brief_nonzero`
+    /// rows).
+    fn encode(&self, brief: bool) -> Json;
+
+    /// The full encoding.
+    fn to_json(&self) -> Json {
+        self.encode(false)
+    }
+
+    /// The brief encoding.
+    fn to_brief_json(&self) -> Json {
+        self.encode(true)
+    }
+
+    /// Reads the value at `path`; the error names the first offending value.
+    fn from_json(v: &Json, path: &Path<'_>) -> Result<Self, ReadError>;
+}
+
+fn expect<T>(value: Option<T>, path: &Path<'_>, message: &str) -> Result<T, ReadError> {
+    value.ok_or_else(|| ReadError::new(path, message))
+}
+
+/// Implements [`Field`] for a leaf type from its writer and its checked reader.
+macro_rules! leaf {
+    ($ty:ty, |$x:ident| $write:expr, |$v:ident, $p:ident| $read:expr, $message:literal) => {
+        impl Field for $ty {
+            fn encode(&self, _brief: bool) -> Json {
+                let $x = self;
+                $write
+            }
+            fn from_json($v: &Json, $p: &Path<'_>) -> Result<Self, ReadError> {
+                expect($read, $p, $message)
+            }
+        }
+    };
+}
+
+leaf!(f64, |x| Json::Num(*x), |v, _p| v.as_f64(), "expected a number");
+leaf!(bool, |x| Json::Bool(*x), |v, _p| v.as_bool(), "expected a boolean");
+leaf!(String, |x| Json::Str(x.clone()), |v, _p| v.as_str().map(String::from), "expected a string");
+leaf!(Json, |x| x.clone(), |v, _p| Some(v.clone()), "any value");
+leaf!(u64, |x| Json::uint(*x), |v, _p| v.as_u64(), "expected a non-negative integer (≤ 2^53)");
+leaf!(
+    u32,
+    |x| Json::uint(u64::from(*x)),
+    |v, p| u64::from_json(v, p)?.try_into().ok(),
+    "expected a 32-bit unsigned integer"
+);
+leaf!(
+    usize,
+    |x| Json::uint(*x as u64),
+    |v, p| u64::from_json(v, p)?.try_into().ok(),
+    "does not fit this platform's usize"
+);
+
+/// A `[lo, hi]` pair.
+impl Field for (f64, f64) {
+    fn encode(&self, _brief: bool) -> Json {
+        Json::Arr(vec![Json::Num(self.0), Json::Num(self.1)])
+    }
+    fn from_json(v: &Json, path: &Path<'_>) -> Result<Self, ReadError> {
+        match v.as_array() {
+            Some([lo, hi]) => {
+                expect(lo.as_f64().zip(hi.as_f64()), path, "expected a two-number array")
+            }
+            Some(_) => Err(ReadError::new(path, "expected exactly two numbers")),
+            None => Err(ReadError::new(path, "expected a two-number array")),
+        }
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn encode(&self, brief: bool) -> Json {
+        Json::Arr(self.iter().map(|item| item.encode(brief)).collect())
+    }
+    fn from_json(v: &Json, path: &Path<'_>) -> Result<Self, ReadError> {
+        let items = expect(v.as_array(), path, "expected an array")?.iter().enumerate();
+        items.map(|(i, item)| T::from_json(item, &Path::Index(path, i))).collect()
+    }
+}
+
+/// A constant version member: reads only `N`.
+pub(crate) struct Version<const N: u64>;
+
+impl<const N: u64> Field for Version<N> {
+    fn encode(&self, _brief: bool) -> Json {
+        Json::uint(N)
+    }
+    fn from_json(v: &Json, path: &Path<'_>) -> Result<Self, ReadError> {
+        match u64::from_json(v, path)? {
+            got if got == N => Ok(Version),
+            got => {
+                Err(ReadError::new(path, format!("this build reads schema version {N}, got {got}")))
+            }
+        }
+    }
+}
+
+/// Implements [`Field`] for a name enum through its `name()` and `from_name()`; `$what`
+/// names the kind of name in the unknown-name error. Given the variants, it also
+/// defines `from_name`.
+macro_rules! json_name {
+    ($ty:ty, $what:literal, [$($variant:ident),*]) => {
+        impl $ty {
+            fn from_name(name: &str) -> Option<Self> {
+                [$(Self::$variant),*].into_iter().find(|v| v.name() == name)
+            }
+        }
+        $crate::json::json_name!($ty, $what);
+    };
+    ($ty:ty, $what:literal) => {
+        impl $crate::json::Field for $ty {
+            fn encode(&self, _brief: bool) -> $crate::json::Json {
+                $crate::json::Json::Str(self.name().to_string())
+            }
+            fn from_json(
+                v: &$crate::json::Json,
+                path: &$crate::json::Path<'_>,
+            ) -> Result<Self, $crate::json::ReadError> {
+                let name = <String as $crate::json::Field>::from_json(v, path)?;
+                Self::from_name(&name).ok_or_else(|| {
+                    $crate::json::ReadError::new(path, format!("unknown {} {name:?}", $what))
+                })
+            }
+        }
+    };
+}
+pub(crate) use json_name;
+
+/// A JSON object described by a `json_record!` table, and through it a [`Field`].
+pub(crate) trait Record: Sized {
+    /// Appends the members in table order; `brief` selects the brief form.
+    fn write(&self, members: &mut Vec<(String, Json)>, brief: bool);
+
+    /// Reads every row, rejects unknown members ([`Obj::end`]) and validates; the
+    /// unknown-key error comes first, then the first failing row in table order.
+    fn read(obj: &mut Obj<'_>) -> Result<Self, ReadError>;
+}
+
+impl<T: Record> Field for T {
+    fn encode(&self, brief: bool) -> Json {
+        let mut members = Vec::new();
+        self.write(&mut members, brief);
+        Json::Obj(members)
+    }
+    fn from_json(v: &Json, path: &Path<'_>) -> Result<Self, ReadError> {
+        T::read(&mut Obj::new(v, path)?)
+    }
+}
+
+/// Most keys one object reader may ask for; the widest table, `ScenarioSpec`, has 14.
+const MAX_KEYS: usize = 16;
+
+/// The strict reader of one JSON object. [`Obj::req`] and [`Obj::opt`] read typed members
+/// and remember each key asked for; [`Obj::end`] rejects any member no getter asked for,
+/// listing the allowed keys. A reader of part of a larger document skips [`Obj::end`].
+pub(crate) struct Obj<'a> {
+    pub(crate) path: &'a Path<'a>,
+    members: &'a [(String, Json)],
+    asked: [&'static str; MAX_KEYS],
+    n_asked: usize,
+}
+
+impl<'a> Obj<'a> {
+    /// Opens the object at `path`; an error when `v` is not an object.
+    pub(crate) fn new(v: &'a Json, path: &'a Path<'a>) -> Result<Self, ReadError> {
+        let members = expect(v.as_object(), path, "expected a JSON object")?;
+        Ok(Self { path, members, asked: [""; MAX_KEYS], n_asked: 0 })
+    }
+
+    fn find(&mut self, key: &'static str) -> Option<&'a Json> {
+        assert!(self.n_asked < MAX_KEYS, "an object reader asks for at most {MAX_KEYS} keys");
+        self.asked[self.n_asked] = key;
+        self.n_asked += 1;
+        self.members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// Reads the required member `key`; an error when it is missing or not a `T`.
+    pub(crate) fn req<T: Field>(&mut self, key: &'static str) -> Result<T, ReadError> {
+        let path = Path::Key(self.path, key);
+        match self.find(key) {
+            Some(v) => T::from_json(v, &path),
+            None => Err(ReadError::new(&path, "missing required key")),
+        }
+    }
+
+    /// Reads the optional member `key` (`None` when absent); an error when it is not a `T`.
+    pub(crate) fn opt<T: Field>(&mut self, key: &'static str) -> Result<Option<T>, ReadError> {
+        let path = Path::Key(self.path, key);
+        self.find(key).map(|v| T::from_json(v, &path)).transpose()
+    }
+
+    /// Rejects the first member that no getter asked for, listing the allowed keys in the
+    /// order they were asked for.
+    pub(crate) fn end(&self) -> Result<(), ReadError> {
+        let asked = &self.asked[..self.n_asked];
+        match self.members.iter().find(|(k, _)| !asked.contains(&k.as_str())) {
+            None => Ok(()),
+            Some((key, _)) => Err(ReadError::new(
+                &Path::Key(self.path, key),
+                format!("unknown key (allowed: {})", asked.join(", ")),
+            )),
+        }
+    }
+}
+
+/// Declares the field table of a wire record, one row per key in member order; writing,
+/// strict reading and the allowed keys all come from these rows. A row is
+/// `"key" => field` (required) or `"key" => field: rule`, where the rule is one of
+///
+/// * `opt` — an `Option` field: absent reads `None`, `None` is not written;
+/// * `or(default)` — absent reads `default`; always written;
+/// * `or_omit(default)` — absent reads `default`; written only when it differs;
+/// * `version(N)` — required and always `N` (see [`Version`]);
+/// * `full_only` — required; the brief form leaves it out;
+/// * `brief_nonzero` — required; the brief form carries it only when non-zero.
+///
+/// A leading `#[validate]` runs the type's `validate(&self, path: &Path)` after each read;
+/// a first row `const "key" = N,` is a constant version member without a field.
+///
+/// ```text
+/// json_record! { #[validate] EngineSpec {
+///     "threads" => threads: opt,
+///     "warm_start" => warm_start: opt,
+/// }}
+/// ```
+macro_rules! json_record {
+    (
+        $(#[$check:ident])?
+        $ty:ty {
+            $(const $vkey:literal = $version:expr,)?
+            $($key:literal => $field:ident $(: $rule:ident $(($arg:expr))?)?),* $(,)?
+        }
+    ) => {
+        impl $crate::json::Record for $ty {
+            fn write(&self, out: &mut Vec<(String, $crate::json::Json)>, brief: bool) {
+                $( out.push(($vkey.to_string(), $crate::json::Json::uint($version))); )?
+                $( $crate::json::json_record!(
+                    @write out, brief, $key, &self.$field $(, $rule $(($arg))?)?
+                ); )*
+            }
+
+            fn read(obj: &mut $crate::json::Obj<'_>) -> Result<Self, $crate::json::ReadError> {
+                $( let version = obj.req::<$crate::json::Version<{ $version }>>($vkey); )?
+                $( let $field = $crate::json::json_record!(@read obj, $key $(, $rule $(($arg))?)?); )*
+                obj.end()?;
+                $( let _: $crate::json::Version<{ $version }> = version?; )?
+                let value = Self { $($field: $field?),* };
+                $( value.$check(obj.path)?; )?
+                Ok(value)
+            }
+        }
+    };
+    (@write $out:ident, $brief:ident, $key:literal, $value:expr) => {
+        $out.push(($key.to_string(), $crate::json::Field::encode($value, $brief)))
+    };
+    (@write $out:ident, $brief:ident, $key:literal, $value:expr, opt) => {
+        if let Some(v) = $value {
+            $out.push(($key.to_string(), $crate::json::Field::encode(v, $brief)));
+        }
+    };
+    (@write $out:ident, $brief:ident, $key:literal, $value:expr, or_omit($default:expr)) => {
+        if *$value != $default {
+            $crate::json::json_record!(@write $out, $brief, $key, $value);
+        }
+    };
+    // `or(default)` and `version(N)`: always written.
+    (@write $out:ident, $brief:ident, $key:literal, $value:expr, $rule:ident($arg:expr)) => {
+        $crate::json::json_record!(@write $out, $brief, $key, $value)
+    };
+    (@write $out:ident, $brief:ident, $key:literal, $value:expr, full_only) => {
+        if !$brief {
+            $crate::json::json_record!(@write $out, $brief, $key, $value);
+        }
+    };
+    (@write $out:ident, $brief:ident, $key:literal, $value:expr, brief_nonzero) => {
+        if !$brief || *$value != 0 {
+            $crate::json::json_record!(@write $out, $brief, $key, $value);
+        }
+    };
+    (@read $obj:ident, $key:literal, opt) => { $obj.opt($key) };
+    (@read $obj:ident, $key:literal, or($default:expr)) => {
+        $obj.opt($key).map(|v| v.unwrap_or_else(|| $default))
+    };
+    (@read $obj:ident, $key:literal, or_omit($default:expr)) => {
+        $crate::json::json_record!(@read $obj, $key, or($default))
+    };
+    (@read $obj:ident, $key:literal, version($v:expr)) => {
+        $obj.req::<$crate::json::Version<{ $v }>>($key).map(|_| $v)
+    };
+    // Required, `full_only` and `brief_nonzero`.
+    (@read $obj:ident, $key:literal $(, $rule:ident)?) => { $obj.req($key) };
+}
+pub(crate) use json_record;
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,6 @@
 //! Tabular and machine-readable output for regenerated figures.
 
-use crate::json::Json;
+use crate::json::{Field, Json};
 use serde::{Deserialize, Serialize};
 
 /// One regenerated figure (or sub-figure): an x-axis sweep with one column per series.
@@ -160,45 +160,27 @@ impl FigureReport {
     /// when recorded — the per-column feasible-draw counts. Member order is fixed and
     /// floats are shortest-round-trip, so the output is byte-stable (golden-file safe).
     pub fn to_json(&self) -> Json {
-        let rows: Vec<Json> = self
-            .rows
-            .iter()
-            .zip(&self.counts)
-            .map(|((x, values), counts)| {
-                let mut members = vec![
-                    ("x".to_string(), Json::Num(*x)),
-                    (
-                        "values".to_string(),
-                        Json::Arr(
-                            values
-                                .iter()
-                                .map(|&v| if v.is_nan() { Json::Null } else { Json::Num(v) })
-                                .collect(),
-                        ),
-                    ),
-                ];
-                if !counts.is_empty() {
-                    members.push((
-                        "feasible".to_string(),
-                        Json::Arr(counts.iter().map(|&n| Json::uint(n as u64)).collect()),
-                    ));
-                }
-                Json::Obj(members)
-            })
-            .collect();
+        let rows = self.rows.iter().zip(&self.counts).map(|((x, values), counts)| {
+            let values = values.iter().map(|&v| if v.is_nan() { Json::Null } else { Json::Num(v) });
+            let mut members = vec![
+                ("x".to_string(), x.to_json()),
+                ("values".to_string(), Json::Arr(values.collect())),
+            ];
+            if !counts.is_empty() {
+                members.push(("feasible".to_string(), counts.to_json()));
+            }
+            Json::Obj(members)
+        });
         let mut members = vec![
-            ("id".to_string(), Json::Str(self.id.clone())),
-            ("title".to_string(), Json::Str(self.title.clone())),
-            ("x_label".to_string(), Json::Str(self.x_label.clone())),
-            ("y_label".to_string(), Json::Str(self.y_label.clone())),
-            (
-                "columns".to_string(),
-                Json::Arr(self.columns.iter().map(|c| Json::Str(c.clone())).collect()),
-            ),
-            ("rows".to_string(), Json::Arr(rows)),
+            ("id".to_string(), self.id.to_json()),
+            ("title".to_string(), self.title.to_json()),
+            ("x_label".to_string(), self.x_label.to_json()),
+            ("y_label".to_string(), self.y_label.to_json()),
+            ("columns".to_string(), self.columns.to_json()),
+            ("rows".to_string(), Json::Arr(rows.collect())),
         ];
         if let Some(note) = &self.note {
-            members.push(("note".to_string(), Json::Str(note.clone())));
+            members.push(("note".to_string(), note.to_json()));
         }
         Json::Obj(members)
     }

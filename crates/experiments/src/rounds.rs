@@ -35,7 +35,7 @@
 //! reduction folds in seed order. Output is therefore bit-identical across thread counts.
 
 use crate::engine::{par_map_indexed_with, SweepEngine};
-use crate::json::Json;
+use crate::json::{json_record, Field, Json};
 use crate::spec::{ExperimentSpec, RoundPolicy, RoundsSpec, SpecError};
 use baselines::derive_stream_seed;
 use fedopt_core::{CoreError, JointOptimizer, SolverWorkspace};
@@ -93,6 +93,32 @@ pub struct PolicyResult {
     /// End-of-run summary.
     pub totals: PolicyTotals,
 }
+
+json_record! { RoundRecord {
+    "round" => round,
+    "participants" => participants,
+    "round_energy_j" => round_energy_j,
+    "round_time_s" => round_time_s,
+    "cumulative_energy_j" => cumulative_energy_j,
+    "cumulative_time_s" => cumulative_time_s,
+    "global_loss" => global_loss,
+    "test_accuracy" => test_accuracy,
+}}
+
+json_record! { PolicyTotals {
+    "total_energy_j" => total_energy_j,
+    "total_time_s" => total_time_s,
+    "final_loss" => final_loss,
+    "final_accuracy" => final_accuracy,
+    "participation_rate" => participation_rate,
+}}
+
+json_record! { PolicyResult {
+    "label" => label,
+    "kind" => kind,
+    "trajectory" => trajectory,
+    "totals" => totals,
+}}
 
 /// The rendered outcome of a round simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -513,73 +539,16 @@ fn reduce(
 impl RoundSimRun {
     /// The report as a JSON value (deterministic member order).
     pub fn to_json(&self) -> Json {
+        let report = Json::obj([("id", self.report_id.to_json()), ("title", self.title.to_json())]);
         Json::obj([
             ("schema_version", Json::uint(crate::spec::SCHEMA_VERSION)),
             ("kind", Json::Str("round_sim".to_string())),
-            ("spec_id", Json::Str(self.spec_id.clone())),
-            (
-                "report",
-                Json::obj([
-                    ("id", Json::Str(self.report_id.clone())),
-                    ("title", Json::Str(self.title.clone())),
-                ]),
-            ),
-            ("devices", Json::uint(self.devices as u64)),
-            ("rounds", Json::uint(u64::from(self.rounds))),
-            ("seeds", Json::uint(self.seeds as u64)),
-            (
-                "policies",
-                Json::Arr(
-                    self.policies
-                        .iter()
-                        .map(|p| {
-                            Json::obj([
-                                ("label", Json::Str(p.label.clone())),
-                                ("kind", Json::Str(p.kind.clone())),
-                                (
-                                    "trajectory",
-                                    Json::Arr(
-                                        p.trajectory
-                                            .iter()
-                                            .map(|r| {
-                                                Json::obj([
-                                                    ("round", Json::uint(u64::from(r.round))),
-                                                    ("participants", Json::Num(r.participants)),
-                                                    ("round_energy_j", Json::Num(r.round_energy_j)),
-                                                    ("round_time_s", Json::Num(r.round_time_s)),
-                                                    (
-                                                        "cumulative_energy_j",
-                                                        Json::Num(r.cumulative_energy_j),
-                                                    ),
-                                                    (
-                                                        "cumulative_time_s",
-                                                        Json::Num(r.cumulative_time_s),
-                                                    ),
-                                                    ("global_loss", Json::Num(r.global_loss)),
-                                                    ("test_accuracy", Json::Num(r.test_accuracy)),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                                (
-                                    "totals",
-                                    Json::obj([
-                                        ("total_energy_j", Json::Num(p.totals.total_energy_j)),
-                                        ("total_time_s", Json::Num(p.totals.total_time_s)),
-                                        ("final_loss", Json::Num(p.totals.final_loss)),
-                                        ("final_accuracy", Json::Num(p.totals.final_accuracy)),
-                                        (
-                                            "participation_rate",
-                                            Json::Num(p.totals.participation_rate),
-                                        ),
-                                    ]),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("spec_id", self.spec_id.to_json()),
+            ("report", report),
+            ("devices", self.devices.to_json()),
+            ("rounds", self.rounds.to_json()),
+            ("seeds", self.seeds.to_json()),
+            ("policies", self.policies.to_json()),
         ])
     }
 

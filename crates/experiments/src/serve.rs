@@ -46,8 +46,8 @@
 
 use crate::engine::{warm_start_env, Arm, CellOutput};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::json::{fnv1a_64, Json, MAX_EXACT_INT};
-use crate::spec::{ArmKind, ArmSpec, Obj, ScenarioSpec, SolverSpec, SpecError};
+use crate::json::{fnv1a_64, json_record, Field, Json, Path};
+use crate::spec::{ArmKind, ArmSpec, ScenarioSpec, SolverSpec, SpecError};
 use fedopt_core::{CoreError, SolverWorkspace};
 use flsys::{ScenarioBuilder, Weights};
 use std::collections::BTreeMap;
@@ -137,80 +137,33 @@ impl RequestSpec {
     ///
     /// A [`SpecError`] naming the offending path and constraint.
     pub fn from_json(v: &Json) -> Result<Self, SpecError> {
-        let path = "request";
-        let obj = Obj::new(
-            v,
-            path,
-            &[
-                "schema_version",
-                "id",
-                "scenario",
-                "seed",
-                "arm",
-                "solver",
-                "deadline_ms",
-                "deadline_s",
-            ],
-        )?;
-        let version = obj.u64("schema_version")?;
-        if version != REQUEST_SCHEMA_VERSION {
+        Ok(<Self as Field>::from_json(v, &Path::Root("request"))?)
+    }
+
+    fn validate(&self, path: &Path<'_>) -> Result<(), SpecError> {
+        if let Some(id) = self.id.as_ref().filter(|id| id.len() > MAX_ID_BYTES) {
             return Err(SpecError::invalid(
-                obj.path_of("schema_version"),
-                format!(
-                    "unsupported version {version} (this build speaks {REQUEST_SCHEMA_VERSION})"
-                ),
+                format!("{path}.id"),
+                format!("at most {MAX_ID_BYTES} bytes (got {})", id.len()),
             ));
         }
-        let id = obj.opt_str("id")?.map(str::to_string);
-        if let Some(id) = &id {
-            if id.len() > MAX_ID_BYTES {
-                return Err(SpecError::invalid(
-                    obj.path_of("id"),
-                    format!("at most {MAX_ID_BYTES} bytes (got {})", id.len()),
-                ));
-            }
+        if self.deadline_ms == Some(0) {
+            return Err(SpecError::invalid(format!("{path}.deadline_ms"), "must be at least 1"));
         }
-        let scenario = match obj.get("scenario") {
-            Some(patch) => ScenarioSpec::from_json(patch, &obj.path_of("scenario"))?,
-            None => ScenarioSpec::default(),
-        };
-        scenario.validate(&obj.path_of("scenario"))?;
-        let seed = obj.opt_u64("seed")?.unwrap_or(0);
-        if seed > MAX_EXACT_INT {
+        if self.deadline_s.is_some_and(|t| !(t.is_finite() && t > 0.0)) {
             return Err(SpecError::invalid(
-                obj.path_of("seed"),
-                "must stay within the exact JSON integer range (2^53)",
+                format!("{path}.deadline_s"),
+                "must be a positive finite number of seconds",
             ));
         }
-        let arm = match obj.get("arm") {
-            Some(arm) => ArmSpec::from_json(arm, &obj.path_of("arm"))?,
-            None => RequestSpec::default().arm,
-        };
-        let solver = match obj.get("solver") {
-            Some(solver) => SolverSpec::from_json(solver, &obj.path_of("solver"))?,
-            None => SolverSpec::default(),
-        };
-        let deadline_ms = obj.opt_u64("deadline_ms")?;
-        if deadline_ms == Some(0) {
-            return Err(SpecError::invalid(obj.path_of("deadline_ms"), "must be at least 1"));
-        }
-        let deadline_s = obj.opt_f64("deadline_s")?;
-        if let Some(t) = deadline_s {
-            if !(t.is_finite() && t > 0.0) {
-                return Err(SpecError::invalid(
-                    obj.path_of("deadline_s"),
-                    "must be a positive finite number of seconds",
-                ));
-            }
-        }
-        if arm.kind.reads_axis_deadline() && deadline_s.is_none() {
+        if self.arm.kind.reads_axis_deadline() && self.deadline_s.is_none() {
             return Err(SpecError::invalid(
-                path,
+                path.to_string(),
                 "this arm kind optimizes under a completion-time deadline; \
                  set `deadline_s`",
             ));
         }
-        Ok(Self { id, scenario, seed, arm, solver, deadline_ms, deadline_s })
+        Ok(())
     }
 
     /// Parses one request line from its textual form.
@@ -228,19 +181,7 @@ impl RequestSpec {
     /// excluded — a correlation id or wall-clock budget does not change the fixed
     /// point the solve converges to).
     pub fn canonical_json(&self) -> Json {
-        let mut members: Vec<(String, Json)> = vec![
-            ("schema_version".to_string(), Json::uint(REQUEST_SCHEMA_VERSION)),
-            ("seed".to_string(), Json::uint(self.seed)),
-        ];
-        if !self.scenario.is_empty() {
-            members.push(("scenario".to_string(), self.scenario.to_json()));
-        }
-        members.push(("arm".to_string(), self.arm.to_json()));
-        members.push(("solver".to_string(), self.solver.to_json()));
-        if let Some(t) = self.deadline_s {
-            members.push(("deadline_s".to_string(), Json::Num(t)));
-        }
-        Json::Obj(members)
+        RequestSpec { id: None, deadline_ms: None, ..self.clone() }.to_json()
     }
 
     /// FNV-1a fingerprint of [`Self::canonical_json`] — the warm-start cache key: two
@@ -250,6 +191,19 @@ impl RequestSpec {
         fnv1a_64(self.canonical_json().to_compact_string().as_bytes())
     }
 }
+
+// The canonical form leaves out `id` and `deadline_ms` and an empty scenario, so
+// `seed` precedes `scenario` here.
+json_record! { #[validate] RequestSpec {
+    const "schema_version" = REQUEST_SCHEMA_VERSION,
+    "id" => id: opt,
+    "seed" => seed: or(0),
+    "scenario" => scenario: or_omit(ScenarioSpec::default()),
+    "arm" => arm: or(Self::default().arm),
+    "solver" => solver: or(SolverSpec::default()),
+    "deadline_ms" => deadline_ms: opt,
+    "deadline_s" => deadline_s: opt,
+}}
 
 // ---------------------------------------------------------------------------
 // Options and statistics
@@ -630,15 +584,7 @@ fn reject(
     out_tx: &Sender<(u64, String)>,
 ) {
     let latency_us = admitted_at.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-    let mut members: Vec<(String, Json)> = vec![
-        ("schema_version".to_string(), Json::uint(RESPONSE_SCHEMA_VERSION)),
-        ("kind".to_string(), Json::Str(RESPONSE_KIND.to_string())),
-        ("seq".to_string(), Json::uint(seq)),
-    ];
-    if let Some(id) = id {
-        members.push(("id".to_string(), Json::Str(id)));
-    }
-    members.push(("status".to_string(), Json::Str(status.to_string())));
+    let mut members = response_head(seq, id.as_deref(), status);
     members.push(("error".to_string(), Json::Str(error.to_string())));
     if opts.timing {
         members.push(("latency_us".to_string(), Json::uint(latency_us)));
@@ -860,71 +806,56 @@ fn render_response(
     latency_us: u64,
     req: &RequestSpec,
 ) -> String {
-    let mut members: Vec<(String, Json)> = vec![
-        ("schema_version".to_string(), Json::uint(RESPONSE_SCHEMA_VERSION)),
-        ("kind".to_string(), Json::Str(RESPONSE_KIND.to_string())),
-        ("seq".to_string(), Json::uint(job.seq)),
-    ];
-    if let Some(id) = &req.id {
-        members.push(("id".to_string(), Json::Str(id.clone())));
-    }
-    members.push(("status".to_string(), Json::Str(status.to_string())));
+    let mut members = response_head(job.seq, req.id.as_deref(), status);
+    let mut push = |key: &str, value: Json| members.push((key.to_string(), value));
+    let warm = Json::Str(label.as_str().to_string());
     match extras {
         ResponseExtras::Solved { cell, output } => {
-            members.push(("energy_j".to_string(), Json::Num(cell.energy_j)));
-            members.push(("time_s".to_string(), Json::Num(cell.time_s)));
+            push("energy_j", Json::Num(cell.energy_j));
+            push("time_s", Json::Num(cell.time_s));
             if let ArmKind::Proposed { weights } = &req.arm.kind {
                 let objective = weights.energy() * cell.energy_j + weights.time() * cell.time_s;
-                members.push(("objective".to_string(), Json::Num(objective)));
+                push("objective", Json::Num(objective));
             }
             if let Some((powers, freqs, bands)) = output.allocation {
-                members.push((
-                    "allocation".to_string(),
-                    Json::Obj(vec![
-                        (
-                            "powers_w".to_string(),
-                            Json::Arr(powers.into_iter().map(Json::Num).collect()),
-                        ),
-                        (
-                            "frequencies_hz".to_string(),
-                            Json::Arr(freqs.into_iter().map(Json::Num).collect()),
-                        ),
-                        (
-                            "bandwidths_hz".to_string(),
-                            Json::Arr(bands.into_iter().map(Json::Num).collect()),
-                        ),
+                push(
+                    "allocation",
+                    Json::obj([
+                        ("powers_w", powers.to_json()),
+                        ("frequencies_hz", freqs.to_json()),
+                        ("bandwidths_hz", bands.to_json()),
                     ]),
-                ));
+                );
             }
-            members.push(("warm".to_string(), Json::Str(label.as_str().to_string())));
-            members.push(("counters".to_string(), counters_json(&output.counters)));
+            push("warm", warm);
+            // The counters this request added, in brief form.
+            push("counters", output.counters.to_brief_json());
         }
         ResponseExtras::Degraded { reason, output } => {
-            members.push(("reason".to_string(), Json::Str(reason)));
-            members.push(("warm".to_string(), Json::Str(label.as_str().to_string())));
-            members.push(("counters".to_string(), counters_json(&output.counters)));
+            push("reason", Json::Str(reason));
+            push("warm", warm);
+            push("counters", output.counters.to_brief_json());
         }
     }
     if opts.timing {
-        members.push(("latency_us".to_string(), Json::uint(latency_us)));
+        push("latency_us", Json::uint(latency_us));
     }
     Json::Obj(members).to_compact_string()
 }
 
-/// The response's `counters` member — the *delta* this request contributed, mirroring
-/// the gating of the sweep report writer (`degraded_solves` only when non-zero).
-fn counters_json(c: &fedopt_core::SolveCounters) -> Json {
-    let mut members: Vec<(String, Json)> = vec![
-        ("outer_iterations".to_string(), Json::uint(c.outer_iterations)),
-        ("jong_iterations".to_string(), Json::uint(c.jong_iterations)),
-        ("kkt_solves".to_string(), Json::uint(c.kkt_solves)),
-        ("mu_bisect_evals".to_string(), Json::uint(c.mu_bisect_evals)),
-        ("sp2_fast_path_hits".to_string(), Json::uint(c.sp2_fast_path_hits)),
+/// The members every response starts with: version, kind, sequence number, the echoed
+/// `id`, and the status.
+fn response_head(seq: u64, id: Option<&str>, status: &str) -> Vec<(String, Json)> {
+    let mut members = vec![
+        ("schema_version".to_string(), Json::uint(RESPONSE_SCHEMA_VERSION)),
+        ("kind".to_string(), Json::Str(RESPONSE_KIND.to_string())),
+        ("seq".to_string(), Json::uint(seq)),
     ];
-    if c.degraded_solves > 0 {
-        members.push(("degraded_solves".to_string(), Json::uint(c.degraded_solves)));
+    if let Some(id) = id {
+        members.push(("id".to_string(), Json::Str(id.to_string())));
     }
-    Json::Obj(members)
+    members.push(("status".to_string(), Json::Str(status.to_string())));
+    members
 }
 
 /// Evaluates one request against a workspace: builds the arm's scenario and solves it

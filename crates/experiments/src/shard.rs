@@ -46,9 +46,8 @@ use crate::engine::{
     warm_start_env, Aggregate, AggregateAccumulator, CellMatrix, CellOutput, SweepCounters,
     SweepResult, THREADS_ENV,
 };
-use crate::json::{fnv1a_64, Json};
-use crate::spec::{EngineSpec, ExperimentSpec, SeedPolicy, SolverPreset, SpecError};
-use fedopt_core::SolveCounters;
+use crate::json::{fnv1a_64, Field, Json, Obj, Path as JsonPath, ReadError, Version};
+use crate::spec::{EngineSpec, ExperimentSpec, SeedPolicy, SpecError};
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write as _;
@@ -277,6 +276,12 @@ impl From<SpecError> for ShardError {
     }
 }
 
+impl From<ReadError> for ShardError {
+    fn from(e: ReadError) -> Self {
+        ShardError::Codec(e.to_string())
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Splitting
 // ---------------------------------------------------------------------------
@@ -348,15 +353,11 @@ pub fn cache_key(spec: &ExperimentSpec) -> String {
     normalized.reports = Vec::new();
     let effective_warm = warm_start_env().or(spec.engine.warm_start).unwrap_or(true);
     normalized.engine = EngineSpec { warm_start: Some(effective_warm), ..EngineSpec::default() };
-    let preset = match spec.solver.preset {
-        SolverPreset::Default => "default",
-        SolverPreset::Fast => "fast",
-    };
     let preimage = Json::obj([
         ("kind", Json::Str(KEY_KIND.to_string())),
         ("cache_version", Json::uint(SHARD_FORMAT_VERSION)),
         ("schema_version", Json::uint(crate::spec::SCHEMA_VERSION)),
-        ("solver_preset", Json::Str(preset.to_string())),
+        ("solver_preset", spec.solver.preset.to_json()),
         ("spec", normalized.to_json()),
     ]);
     format!("{:016x}", fnv1a_64(preimage.to_compact_string().as_bytes()))
@@ -414,67 +415,7 @@ impl ShardResult {
     /// single flipped byte anywhere in the document — even one that still parses as a
     /// different valid number — is a typed codec error, never a silently-wrong merge.
     pub fn to_json(&self) -> Json {
-        let n_arms = self.arm_names.len();
-        let samples = Json::Arr(
-            (0..self.xs.len())
-                .map(|p| {
-                    Json::Arr(
-                        (0..n_arms)
-                            .map(|a| {
-                                Json::Arr(
-                                    self.cell_slice(p, a)
-                                        .iter()
-                                        .map(|cell| match cell {
-                                            None => Json::Null,
-                                            Some(c) => Json::Arr(vec![
-                                                Json::Num(c.energy_j),
-                                                Json::Num(c.time_s),
-                                            ]),
-                                        })
-                                        .collect(),
-                                )
-                            })
-                            .collect(),
-                    )
-                })
-                .collect(),
-        );
-        let solver = &self.counters.solver;
-        let mut doc = Json::obj([
-            ("schema_version", Json::uint(SHARD_FORMAT_VERSION)),
-            ("kind", Json::Str(RESULT_KIND.to_string())),
-            ("spec_id", Json::Str(self.spec_id.clone())),
-            ("key", Json::Str(self.key.clone())),
-            ("xs", Json::Arr(self.xs.iter().map(|&x| Json::Num(x)).collect())),
-            ("arm_names", Json::Arr(self.arm_names.iter().map(|n| Json::Str(n.clone())).collect())),
-            ("seeds", Json::uint(self.n_seeds as u64)),
-            ("samples", samples),
-            (
-                "counters",
-                Json::obj([
-                    ("scenarios_built", Json::uint(self.counters.scenarios_built as u64)),
-                    ("cells_evaluated", Json::uint(self.counters.cells_evaluated as u64)),
-                    (
-                        "solver",
-                        Json::obj([
-                            ("outer_iterations", Json::uint(solver.outer_iterations)),
-                            ("jong_iterations", Json::uint(solver.jong_iterations)),
-                            ("kkt_solves", Json::uint(solver.kkt_solves)),
-                            ("mu_bisect_evals", Json::uint(solver.mu_bisect_evals)),
-                            ("sp2_fast_path_hits", Json::uint(solver.sp2_fast_path_hits)),
-                            ("sp1_probe_evals", Json::uint(solver.sp1_probe_evals)),
-                            ("lp_sorts", Json::uint(solver.lp_sorts)),
-                            ("degraded_solves", Json::uint(solver.degraded_solves)),
-                        ]),
-                    ),
-                ]),
-            ),
-        ]);
-        let checksum = format!("{:016x}", fnv1a_64(doc.to_compact_string().as_bytes()));
-        if let Json::Obj(members) = &mut doc {
-            members.push(("checksum".to_string(), Json::Str(checksum)));
-        }
-        doc
+        Field::to_json(self)
     }
 
     /// Serializes to the compact single-line wire string.
@@ -486,136 +427,11 @@ impl ShardResult {
     ///
     /// # Errors
     ///
-    /// [`ShardError::Codec`] on any missing field, type mismatch, version/kind mismatch,
-    /// or dimension inconsistency (the sample tensor must be exactly
-    /// `points × arms × seeds`).
+    /// [`ShardError::Codec`] on any missing or unknown field, type mismatch, version/kind
+    /// mismatch, checksum mismatch, or dimension inconsistency (the sample tensor must be
+    /// exactly `points × arms × seeds`).
     pub fn from_json(doc: &Json) -> Result<Self, ShardError> {
-        let version = field(doc, "schema_version")?
-            .as_u64()
-            .ok_or_else(|| codec("schema_version must be an unsigned integer"))?;
-        if version != SHARD_FORMAT_VERSION {
-            return Err(codec(format!(
-                "shard format version mismatch: expected {SHARD_FORMAT_VERSION}, got {version}"
-            )));
-        }
-        let kind = field(doc, "kind")?.as_str().ok_or_else(|| codec("kind must be a string"))?;
-        if kind != RESULT_KIND {
-            return Err(codec(format!("expected kind {RESULT_KIND:?}, got {kind:?}")));
-        }
-        // Whole-document integrity check before trusting any value: hash the canonical
-        // re-emission of everything but the checksum member. Our own compact output
-        // re-emits byte-identically, so a corrupted byte either breaks the parse, changes
-        // a value (hash mismatch), or was semantically inert — all three are safe.
-        let checksum =
-            field(doc, "checksum")?.as_str().ok_or_else(|| codec("checksum must be a string"))?;
-        let payload = match doc {
-            Json::Obj(members) => Json::Obj(
-                members.iter().filter(|(k, _)| k.as_str() != "checksum").cloned().collect(),
-            ),
-            _ => return Err(codec("a shard result document must be an object")),
-        };
-        let actual = format!("{:016x}", fnv1a_64(payload.to_compact_string().as_bytes()));
-        if actual != checksum {
-            return Err(codec(format!(
-                "checksum mismatch: document claims {checksum}, payload hashes to {actual} \
-                 — the document was corrupted in transit"
-            )));
-        }
-        let spec_id = field(doc, "spec_id")?
-            .as_str()
-            .ok_or_else(|| codec("spec_id must be a string"))?
-            .to_string();
-        let key =
-            field(doc, "key")?.as_str().ok_or_else(|| codec("key must be a string"))?.to_string();
-        let xs = field(doc, "xs")?
-            .as_array()
-            .ok_or_else(|| codec("xs must be an array"))?
-            .iter()
-            .map(|v| v.as_f64().ok_or_else(|| codec("xs entries must be numbers")))
-            .collect::<Result<Vec<f64>, _>>()?;
-        let arm_names = field(doc, "arm_names")?
-            .as_array()
-            .ok_or_else(|| codec("arm_names must be an array"))?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| codec("arm_names entries must be strings"))
-            })
-            .collect::<Result<Vec<String>, _>>()?;
-        let n_seeds = field(doc, "seeds")?
-            .as_usize()
-            .ok_or_else(|| codec("seeds must be an unsigned integer"))?;
-
-        let points =
-            field(doc, "samples")?.as_array().ok_or_else(|| codec("samples must be an array"))?;
-        if points.len() != xs.len() {
-            return Err(codec(format!(
-                "samples has {} point rows, xs has {}",
-                points.len(),
-                xs.len()
-            )));
-        }
-        let mut samples = Vec::with_capacity(xs.len() * arm_names.len() * n_seeds);
-        for row in points {
-            let arms = row.as_array().ok_or_else(|| codec("sample point rows must be arrays"))?;
-            if arms.len() != arm_names.len() {
-                return Err(codec(format!(
-                    "a point row has {} arm cells, arm_names has {}",
-                    arms.len(),
-                    arm_names.len()
-                )));
-            }
-            for cell in arms {
-                let seeds =
-                    cell.as_array().ok_or_else(|| codec("sample arm cells must be arrays"))?;
-                if seeds.len() != n_seeds {
-                    return Err(codec(format!(
-                        "an arm cell has {} seed samples, seeds says {n_seeds}",
-                        seeds.len()
-                    )));
-                }
-                for sample in seeds {
-                    samples.push(match sample {
-                        Json::Null => None,
-                        Json::Arr(pair) if pair.len() == 2 => {
-                            let energy_j = pair[0]
-                                .as_f64()
-                                .ok_or_else(|| codec("sample energy must be a number"))?;
-                            let time_s = pair[1]
-                                .as_f64()
-                                .ok_or_else(|| codec("sample time must be a number"))?;
-                            Some(CellOutput::new(energy_j, time_s))
-                        }
-                        _ => return Err(codec("samples must be null or [energy, time] pairs")),
-                    });
-                }
-            }
-        }
-
-        let counters_obj = field(doc, "counters")?;
-        let solver_obj = field(counters_obj, "solver")?;
-        let counter = |obj: &Json, name: &str| -> Result<u64, ShardError> {
-            field(obj, name)?
-                .as_u64()
-                .ok_or_else(|| codec(format!("counter {name} must be an unsigned integer")))
-        };
-        let counters = SweepCounters {
-            scenarios_built: counter(counters_obj, "scenarios_built")? as usize,
-            cells_evaluated: counter(counters_obj, "cells_evaluated")? as usize,
-            solver: SolveCounters {
-                outer_iterations: counter(solver_obj, "outer_iterations")?,
-                jong_iterations: counter(solver_obj, "jong_iterations")?,
-                kkt_solves: counter(solver_obj, "kkt_solves")?,
-                mu_bisect_evals: counter(solver_obj, "mu_bisect_evals")?,
-                sp2_fast_path_hits: counter(solver_obj, "sp2_fast_path_hits")?,
-                sp1_probe_evals: counter(solver_obj, "sp1_probe_evals")?,
-                lp_sorts: counter(solver_obj, "lp_sorts")?,
-                degraded_solves: counter(solver_obj, "degraded_solves")?,
-            },
-        };
-
-        Ok(Self { spec_id, key, xs, arm_names, n_seeds, samples, counters })
+        Ok(<Self as Field>::from_json(doc, &JsonPath::Root("shard"))?)
     }
 
     /// [`ShardResult::from_json`] from text.
@@ -624,17 +440,106 @@ impl ShardResult {
     ///
     /// [`ShardError::Codec`] on parse or structural failure.
     pub fn from_json_str(text: &str) -> Result<Self, ShardError> {
-        let doc = Json::parse(text).map_err(|e| codec(format!("not valid JSON: {e}")))?;
+        let doc =
+            Json::parse(text).map_err(|e| ShardError::Codec(format!("not valid JSON: {e}")))?;
         Self::from_json(&doc)
     }
 }
 
-fn codec(msg: impl Into<String>) -> ShardError {
-    ShardError::Codec(msg.into())
+impl Field for ShardResult {
+    fn encode(&self, _brief: bool) -> Json {
+        let samples = (0..self.xs.len())
+            .map(|p| {
+                let arms = (0..self.arm_names.len())
+                    .map(|a| Json::Arr(self.cell_slice(p, a).iter().map(Field::to_json).collect()));
+                Json::Arr(arms.collect())
+            })
+            .collect();
+        let mut doc = Json::obj([
+            ("schema_version", Json::uint(SHARD_FORMAT_VERSION)),
+            ("kind", Json::Str(RESULT_KIND.to_string())),
+            ("spec_id", self.spec_id.to_json()),
+            ("key", self.key.to_json()),
+            ("xs", self.xs.to_json()),
+            ("arm_names", self.arm_names.to_json()),
+            ("seeds", self.n_seeds.to_json()),
+            ("samples", Json::Arr(samples)),
+            ("counters", self.counters.to_json()),
+        ]);
+        let checksum = format!("{:016x}", fnv1a_64(doc.to_compact_string().as_bytes()));
+        if let Json::Obj(members) = &mut doc {
+            members.push(("checksum".to_string(), Json::Str(checksum)));
+        }
+        doc
+    }
+
+    fn from_json(doc: &Json, path: &JsonPath<'_>) -> Result<Self, ReadError> {
+        let mut obj = Obj::new(doc, path)?;
+        obj.req::<Version<SHARD_FORMAT_VERSION>>("schema_version")?;
+        let kind: String = obj.req("kind")?;
+        if kind != RESULT_KIND {
+            return Err(ReadError::new(
+                &JsonPath::Key(path, "kind"),
+                format!("expected {RESULT_KIND:?}, got {kind:?}"),
+            ));
+        }
+        // Whole-document integrity check before trusting any value: hash the canonical
+        // re-emission of everything but the checksum member. Our own compact output
+        // re-emits byte-identically, so a corrupted byte either breaks the parse, changes
+        // a value (hash mismatch), or was semantically inert — all three are safe.
+        let checksum: String = obj.req("checksum")?;
+        let members = doc.as_object().unwrap_or_default();
+        let payload =
+            Json::Obj(members.iter().filter(|(k, _)| k.as_str() != "checksum").cloned().collect());
+        let actual = format!("{:016x}", fnv1a_64(payload.to_compact_string().as_bytes()));
+        if actual != checksum {
+            return Err(ReadError::new(
+                &JsonPath::Key(path, "checksum"),
+                format!(
+                    "checksum mismatch: document claims {checksum}, payload hashes to {actual} \
+                     — the document was corrupted in transit"
+                ),
+            ));
+        }
+        let spec_id = obj.req("spec_id")?;
+        let key = obj.req("key")?;
+        let xs: Vec<f64> = obj.req("xs")?;
+        let arm_names: Vec<String> = obj.req("arm_names")?;
+        let n_seeds: usize = obj.req("seeds")?;
+        let points: Vec<Vec<Vec<Option<CellOutput>>>> = obj.req("samples")?;
+        let counters = obj.req("counters")?;
+        obj.end()?;
+        let (n_points, n_arms) = (xs.len(), arm_names.len());
+        let shape_ok = points.len() == n_points
+            && points.iter().flatten().all(|cell| cell.len() == n_seeds)
+            && points.iter().all(|row| row.len() == n_arms);
+        if !shape_ok {
+            return Err(ReadError::new(
+                &JsonPath::Key(path, "samples"),
+                format!("expected {n_points} points × {n_arms} arms × {n_seeds} seeds"),
+            ));
+        }
+        let samples = points.into_iter().flatten().flatten().collect();
+        Ok(Self { spec_id, key, xs, arm_names, n_seeds, samples, counters })
+    }
 }
 
-fn field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, ShardError> {
-    doc.get(key).ok_or_else(|| codec(format!("missing field {key:?}")))
+/// One sample: `null` for an infeasible cell, else `[energy, time]`.
+impl Field for Option<CellOutput> {
+    fn encode(&self, _brief: bool) -> Json {
+        match self {
+            None => Json::Null,
+            Some(c) => (c.energy_j, c.time_s).to_json(),
+        }
+    }
+    fn from_json(v: &Json, path: &JsonPath<'_>) -> Result<Self, ReadError> {
+        match v {
+            Json::Null => Ok(None),
+            _ => <(f64, f64)>::from_json(v, path)
+                .map(|(energy_j, time_s)| Some(CellOutput::new(energy_j, time_s)))
+                .map_err(|_| ReadError::new(path, "samples must be null or [energy, time] pairs")),
+        }
+    }
 }
 
 /// Runs one shard spec in this process: compile the grid, evaluate with the spec's
@@ -715,26 +620,19 @@ impl ShardCache {
     pub fn load(&self, key: &str) -> Option<ShardResult> {
         let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
         let doc = Json::parse(&text).ok()?;
-        if doc.get("kind")?.as_str()? != ENTRY_KIND {
+        let root = JsonPath::Root("cache_entry");
+        let mut obj = Obj::new(&doc, &root).ok()?;
+        obj.req::<Version<SHARD_FORMAT_VERSION>>("schema_version").ok()?;
+        if obj.req::<String>("kind").ok()? != ENTRY_KIND || obj.req::<String>("key").ok()? != key {
             return None;
         }
-        if doc.get("schema_version")?.as_u64()? != SHARD_FORMAT_VERSION {
-            return None;
-        }
-        if doc.get("key")?.as_str()? != key {
-            return None;
-        }
-        let payload = doc.get("payload")?;
-        let expected_hash = doc.get("payload_hash")?.as_str()?;
-        let actual_hash = format!("{:016x}", fnv1a_64(payload.to_compact_string().as_bytes()));
-        if actual_hash != expected_hash {
-            return None;
-        }
-        let result = ShardResult::from_json(payload).ok()?;
-        if result.key != key {
-            return None;
-        }
-        Some(result)
+        let expected_hash: String = obj.req("payload_hash").ok()?;
+        let result: ShardResult = obj.req("payload").ok()?;
+        obj.end().ok()?;
+        // The payload re-emits byte-identically (see `ShardResult::from_json`), so its hash
+        // is the hash of the bytes `store` wrote.
+        let actual_hash = format!("{:016x}", fnv1a_64(result.to_json_string().as_bytes()));
+        (actual_hash == expected_hash && result.key == key).then_some(result)
     }
 
     /// Aggregate statistics of the cache directory: entry count/bytes plus leftover
@@ -1465,7 +1363,7 @@ pub(crate) fn describe_seeds(spec: &ExperimentSpec) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::SeedSpec;
+    use crate::spec::{SeedSpec, SolverPreset};
 
     fn tiny_spec() -> ExperimentSpec {
         let mut spec = crate::presets::spec(2, crate::presets::Variant::Quick).unwrap();

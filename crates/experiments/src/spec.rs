@@ -40,20 +40,27 @@
 //! # Wire format
 //!
 //! The JSON schema is versioned by the top-level `schema_version` field (currently
-//! [`SCHEMA_VERSION`]); parsing rejects other versions and unknown keys (typos fail
-//! loudly instead of silently changing the experiment). Optional fields are omitted when
-//! unset, object member order is fixed, and floats use shortest-round-trip formatting, so
-//! serialization is deterministic and byte-stable — see `examples/specs/` for a committed
-//! example and the README for the annotated schema.
+//! [`SCHEMA_VERSION`]). Each record type is described once, by the field table next to
+//! it (`json_record!`, see [`crate::json`]): one row per key with its field and its
+//! absent-rule. The table yields the writer — members in table order, unset optional
+//! fields omitted — and the strict reader, which rejects other versions and unknown keys
+//! by dotted path (typos fail loudly instead of silently changing the experiment). The
+//! tagged unions [`ArmSpec`] and [`RoundPolicySpec`] and the `list`-or-`count`
+//! [`SeedSpec`] are read by hand through the same reader. Floats use shortest-round-trip
+//! formatting, so serialization is deterministic and byte-stable — see `examples/specs/`
+//! for a committed example and the README for the annotated schema.
 
 use crate::engine::{SweepEngine, SweepGrid, SweepResult};
-use crate::json::{Json, JsonError, MAX_EXACT_INT};
+use crate::json::{
+    json_name, json_record, Field, Json, JsonError, Obj, Path, ReadError, MAX_EXACT_INT,
+};
 use crate::report::FigureReport;
 use baselines::StreamDerivation;
 use fedopt_core::{CoreError, SolverConfig};
 use flsys::{ScenarioBuilder, Weights};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use wireless::units::Hertz;
 
 /// The wire-format version this module reads and writes.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -130,6 +137,23 @@ impl From<CoreError> for SpecError {
     }
 }
 
+impl From<ReadError> for SpecError {
+    fn from(e: ReadError) -> Self {
+        SpecError::Invalid { path: e.path, message: e.message }
+    }
+}
+
+/// Lets a table's `#[validate]` hook report through the reader (validation only ever
+/// fails with [`SpecError::Invalid`]).
+impl From<SpecError> for ReadError {
+    fn from(e: SpecError) -> Self {
+        match e {
+            SpecError::Invalid { path, message } => ReadError { path, message },
+            other => ReadError { path: String::new(), message: other.to_string() },
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Axis
 // ---------------------------------------------------------------------------
@@ -188,19 +212,19 @@ impl AxisKind {
         matches!(self, Self::Devices | Self::LocalIterations | Self::GlobalRounds)
     }
 
-    fn check(self, x: f64, path: &str) -> Result<(), SpecError> {
+    fn check(self, x: f64, path: &Path<'_>) -> Result<(), SpecError> {
         if !x.is_finite() {
-            return Err(SpecError::invalid(path, "axis values must be finite"));
+            return Err(SpecError::invalid(path.to_string(), "axis values must be finite"));
         }
         if self.is_integer() && (x.fract() != 0.0 || !(1.0..=4_294_967_295.0).contains(&x)) {
             return Err(SpecError::invalid(
-                path,
+                path.to_string(),
                 format!("axis `{}` requires positive integer values, got {x}", self.name()),
             ));
         }
         if self == Self::Devices && x > MAX_DEVICES as f64 {
             return Err(SpecError::invalid(
-                path,
+                path.to_string(),
                 format!(
                     "axis `devices` is capped at {MAX_DEVICES} devices per scenario (got {x}); \
                      fleet-scale experiments should start from the `large_n` quick preset \
@@ -216,7 +240,7 @@ impl AxisKind {
         let must_be_positive = matches!(self, Self::FMaxGhz | Self::RadiusKm | Self::DeadlineS);
         if must_be_positive && x <= 0.0 {
             return Err(SpecError::invalid(
-                path,
+                path.to_string(),
                 format!("axis `{}` requires strictly positive values, got {x}", self.name()),
             ));
         }
@@ -246,23 +270,12 @@ pub struct AxisSpec {
     pub values: Vec<f64>,
 }
 
-impl AxisSpec {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", Json::Str(self.kind.name().to_string())),
-            ("values", Json::Arr(self.values.iter().map(|&v| Json::Num(v)).collect())),
-        ])
-    }
+json_name!(AxisKind, "axis name");
 
-    fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let obj = Obj::new(v, path, &["name", "values"])?;
-        let name = obj.str("name")?;
-        let kind = AxisKind::from_name(name).ok_or_else(|| {
-            SpecError::invalid(obj.path_of("name"), format!("unknown axis name {name:?}"))
-        })?;
-        Ok(Self { kind, values: obj.f64_array("values")? })
-    }
-}
+json_record! { AxisSpec {
+    "name" => kind,
+    "values" => values,
+}}
 
 // ---------------------------------------------------------------------------
 // Scenario template / patch
@@ -308,50 +321,29 @@ pub struct ScenarioSpec {
 
 impl ScenarioSpec {
     /// Applies the patch to a builder (unset fields leave it unchanged).
-    pub fn apply(&self, mut builder: ScenarioBuilder) -> ScenarioBuilder {
-        if let Some(n) = self.devices {
-            builder = builder.with_devices(n);
+    pub fn apply(&self, builder: ScenarioBuilder) -> ScenarioBuilder {
+        type With<T> = fn(ScenarioBuilder, T) -> ScenarioBuilder;
+        fn set<T>(b: ScenarioBuilder, value: Option<T>, with: With<T>) -> ScenarioBuilder {
+            match value {
+                Some(v) => with(b, v),
+                None => b,
+            }
         }
-        if let Some(r) = self.radius_km {
-            builder = builder.with_radius_km(r);
-        }
-        if let Some(s) = self.samples_per_device {
-            builder = builder.with_samples_per_device(s);
-        }
-        if let Some(t) = self.total_samples {
-            builder = builder.with_total_samples(t);
-        }
-        if let Some((lo, hi)) = self.cycles_per_sample {
-            builder = builder.with_cycles_per_sample_range(lo, hi);
-        }
-        if let Some(b) = self.upload_bits {
-            builder = builder.with_upload_bits(b);
-        }
-        if let Some(p) = self.p_min_dbm {
-            builder = builder.with_p_min_dbm(p);
-        }
-        if let Some(p) = self.p_max_dbm {
-            builder = builder.with_p_max_dbm(p);
-        }
-        if let Some(f) = self.f_min_hz {
-            builder = builder.with_f_min_hz(f);
-        }
-        if let Some(f) = self.f_max_ghz {
-            builder = builder.with_f_max_ghz(f);
-        }
-        if let Some(r) = self.global_rounds {
-            builder = builder.with_global_rounds(r);
-        }
-        if let Some(r) = self.local_iterations {
-            builder = builder.with_local_iterations(r);
-        }
-        if let Some(b) = self.total_bandwidth_hz {
-            builder = builder.with_total_bandwidth(wireless_hertz(b));
-        }
-        if let Some(s) = self.shadowing_db {
-            builder = builder.with_shadowing_db(s);
-        }
-        builder
+        let b = set(builder, self.devices, ScenarioBuilder::with_devices);
+        let b = set(b, self.radius_km, ScenarioBuilder::with_radius_km);
+        let b = set(b, self.samples_per_device, ScenarioBuilder::with_samples_per_device);
+        let b = set(b, self.total_samples, ScenarioBuilder::with_total_samples);
+        let b =
+            set(b, self.cycles_per_sample, |b, (lo, hi)| b.with_cycles_per_sample_range(lo, hi));
+        let b = set(b, self.upload_bits, ScenarioBuilder::with_upload_bits);
+        let b = set(b, self.p_min_dbm, ScenarioBuilder::with_p_min_dbm);
+        let b = set(b, self.p_max_dbm, ScenarioBuilder::with_p_max_dbm);
+        let b = set(b, self.f_min_hz, ScenarioBuilder::with_f_min_hz);
+        let b = set(b, self.f_max_ghz, ScenarioBuilder::with_f_max_ghz);
+        let b = set(b, self.global_rounds, ScenarioBuilder::with_global_rounds);
+        let b = set(b, self.local_iterations, ScenarioBuilder::with_local_iterations);
+        let b = set(b, self.total_bandwidth_hz, |b, hz| b.with_total_bandwidth(Hertz::new(hz)));
+        set(b, self.shadowing_db, ScenarioBuilder::with_shadowing_db)
     }
 
     /// Whether every field is unset (an identity patch).
@@ -359,10 +351,10 @@ impl ScenarioSpec {
         *self == Self::default()
     }
 
-    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
+    pub(crate) fn validate(&self, path: &Path<'_>) -> Result<(), SpecError> {
         if self.samples_per_device.is_some() && self.total_samples.is_some() {
             return Err(SpecError::invalid(
-                path,
+                path.to_string(),
                 "`samples_per_device` and `total_samples` are mutually exclusive",
             ));
         }
@@ -376,129 +368,57 @@ impl ScenarioSpec {
         }
         // dBm values are log-scale (negative is fine) and shadowing may be 0 (disabled);
         // the physical magnitudes must be strictly positive.
-        for (name, value) in [("p_min_dbm", self.p_min_dbm), ("p_max_dbm", self.p_max_dbm)] {
-            if let Some(v) = value {
-                if !v.is_finite() {
-                    return Err(SpecError::invalid(format!("{path}.{name}"), "must be finite"));
-                }
-            }
-        }
-        if let Some(v) = self.shadowing_db {
-            if !(v.is_finite() && v >= 0.0) {
-                return Err(SpecError::invalid(
-                    format!("{path}.shadowing_db"),
-                    "must be finite and non-negative",
-                ));
-            }
-        }
-        for (name, value) in [
-            ("radius_km", self.radius_km),
-            ("upload_bits", self.upload_bits),
-            ("f_min_hz", self.f_min_hz),
-            ("f_max_ghz", self.f_max_ghz),
-            ("total_bandwidth_hz", self.total_bandwidth_hz),
+        type Rule = (fn(f64) -> bool, &'static str);
+        let finite: Rule = (f64::is_finite, "must be finite");
+        let non_negative: Rule = (|v| v.is_finite() && v >= 0.0, "must be finite and non-negative");
+        let positive: Rule = (|v| v.is_finite() && v > 0.0, "must be a positive finite number");
+        for (name, value, (ok, message)) in [
+            ("p_min_dbm", self.p_min_dbm, finite),
+            ("p_max_dbm", self.p_max_dbm, finite),
+            ("shadowing_db", self.shadowing_db, non_negative),
+            ("radius_km", self.radius_km, positive),
+            ("upload_bits", self.upload_bits, positive),
+            ("f_min_hz", self.f_min_hz, positive),
+            ("f_max_ghz", self.f_max_ghz, positive),
+            ("total_bandwidth_hz", self.total_bandwidth_hz, positive),
         ] {
-            if let Some(v) = value {
-                if !(v.is_finite() && v > 0.0) {
-                    return Err(SpecError::invalid(
-                        format!("{path}.{name}"),
-                        "must be a positive finite number",
-                    ));
-                }
+            if value.is_some_and(|v| !ok(v)) {
+                return Err(SpecError::invalid(format!("{path}.{name}"), message));
             }
         }
-        if self.devices == Some(0) {
-            return Err(SpecError::invalid(format!("{path}.devices"), "must be at least 1"));
+        match self.devices {
+            Some(0) => Err(SpecError::invalid(format!("{path}.devices"), "must be at least 1")),
+            Some(n) if n > MAX_DEVICES => Err(SpecError::invalid(
+                format!("{path}.devices"),
+                format!(
+                    "capped at {MAX_DEVICES} devices per scenario (got {n}); fleet-scale \
+                     experiments should start from the `large_n` quick preset \
+                     (`experiments::presets::large_n`) and spread the seed grid with \
+                     `fedopt run --shards N` instead of growing a single scenario past \
+                     the guardrail"
+                ),
+            )),
+            _ => Ok(()),
         }
-        if let Some(n) = self.devices {
-            if n > MAX_DEVICES {
-                return Err(SpecError::invalid(
-                    format!("{path}.devices"),
-                    format!(
-                        "capped at {MAX_DEVICES} devices per scenario (got {n}); fleet-scale \
-                         experiments should start from the `large_n` quick preset \
-                         (`experiments::presets::large_n`) and spread the seed grid with \
-                         `fedopt run --shards N` instead of growing a single scenario \
-                         past the guardrail"
-                    ),
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn to_json(&self) -> Json {
-        let mut members: Vec<(String, Json)> = Vec::new();
-        let mut push = |key: &str, value: Option<Json>| {
-            if let Some(v) = value {
-                members.push((key.to_string(), v));
-            }
-        };
-        push("devices", self.devices.map(|n| Json::uint(n as u64)));
-        push("radius_km", self.radius_km.map(Json::Num));
-        push("samples_per_device", self.samples_per_device.map(Json::uint));
-        push("total_samples", self.total_samples.map(Json::uint));
-        push(
-            "cycles_per_sample",
-            self.cycles_per_sample.map(|(lo, hi)| Json::Arr(vec![Json::Num(lo), Json::Num(hi)])),
-        );
-        push("upload_bits", self.upload_bits.map(Json::Num));
-        push("p_min_dbm", self.p_min_dbm.map(Json::Num));
-        push("p_max_dbm", self.p_max_dbm.map(Json::Num));
-        push("f_min_hz", self.f_min_hz.map(Json::Num));
-        push("f_max_ghz", self.f_max_ghz.map(Json::Num));
-        push("global_rounds", self.global_rounds.map(|r| Json::uint(u64::from(r))));
-        push("local_iterations", self.local_iterations.map(|r| Json::uint(u64::from(r))));
-        push("total_bandwidth_hz", self.total_bandwidth_hz.map(Json::Num));
-        push("shadowing_db", self.shadowing_db.map(Json::Num));
-        Json::Obj(members)
-    }
-
-    pub(crate) fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let obj = Obj::new(
-            v,
-            path,
-            &[
-                "devices",
-                "radius_km",
-                "samples_per_device",
-                "total_samples",
-                "cycles_per_sample",
-                "upload_bits",
-                "p_min_dbm",
-                "p_max_dbm",
-                "f_min_hz",
-                "f_max_ghz",
-                "global_rounds",
-                "local_iterations",
-                "total_bandwidth_hz",
-                "shadowing_db",
-            ],
-        )?;
-        let spec = Self {
-            devices: obj.opt_usize("devices")?,
-            radius_km: obj.opt_f64("radius_km")?,
-            samples_per_device: obj.opt_u64("samples_per_device")?,
-            total_samples: obj.opt_u64("total_samples")?,
-            cycles_per_sample: obj.opt_f64_pair("cycles_per_sample")?,
-            upload_bits: obj.opt_f64("upload_bits")?,
-            p_min_dbm: obj.opt_f64("p_min_dbm")?,
-            p_max_dbm: obj.opt_f64("p_max_dbm")?,
-            f_min_hz: obj.opt_f64("f_min_hz")?,
-            f_max_ghz: obj.opt_f64("f_max_ghz")?,
-            global_rounds: obj.opt_u32("global_rounds")?,
-            local_iterations: obj.opt_u32("local_iterations")?,
-            total_bandwidth_hz: obj.opt_f64("total_bandwidth_hz")?,
-            shadowing_db: obj.opt_f64("shadowing_db")?,
-        };
-        spec.validate(path)?;
-        Ok(spec)
     }
 }
 
-fn wireless_hertz(hz: f64) -> wireless::units::Hertz {
-    wireless::units::Hertz::new(hz)
-}
+json_record! { #[validate] ScenarioSpec {
+    "devices" => devices: opt,
+    "radius_km" => radius_km: opt,
+    "samples_per_device" => samples_per_device: opt,
+    "total_samples" => total_samples: opt,
+    "cycles_per_sample" => cycles_per_sample: opt,
+    "upload_bits" => upload_bits: opt,
+    "p_min_dbm" => p_min_dbm: opt,
+    "p_max_dbm" => p_max_dbm: opt,
+    "f_min_hz" => f_min_hz: opt,
+    "f_max_ghz" => f_max_ghz: opt,
+    "global_rounds" => global_rounds: opt,
+    "local_iterations" => local_iterations: opt,
+    "total_bandwidth_hz" => total_bandwidth_hz: opt,
+    "shadowing_db" => shadowing_db: opt,
+}}
 
 // ---------------------------------------------------------------------------
 // Arms
@@ -522,6 +442,8 @@ impl BenchmarkDraw {
     }
 }
 
+json_name!(BenchmarkDraw, "benchmark draw", [Frequency, Power]);
+
 /// Where a deadline-constrained arm reads its deadline from.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum DeadlineSpec {
@@ -530,6 +452,23 @@ pub enum DeadlineSpec {
     Axis,
     /// A fixed deadline in seconds (one series per value, as in Figure 8).
     FixedS(f64),
+}
+
+/// `"axis"` or a number of seconds.
+impl Field for DeadlineSpec {
+    fn encode(&self, _brief: bool) -> Json {
+        match self {
+            DeadlineSpec::Axis => Json::Str("axis".to_string()),
+            DeadlineSpec::FixedS(t) => Json::Num(*t),
+        }
+    }
+    fn from_json(v: &Json, path: &Path<'_>) -> Result<Self, ReadError> {
+        match v {
+            Json::Str(s) if s == "axis" => Ok(DeadlineSpec::Axis),
+            Json::Num(t) => Ok(DeadlineSpec::FixedS(*t)),
+            _ => Err(ReadError::new(path, "must be \"axis\" or a number of seconds")),
+        }
+    }
 }
 
 /// The closed set of schemes an arm can run — every comparison of the paper's evaluation.
@@ -608,7 +547,7 @@ impl ArmSpec {
         self
     }
 
-    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
+    pub(crate) fn validate(&self, path: &Path<'_>) -> Result<(), SpecError> {
         match &self.kind {
             ArmKind::Scheme1 { deadline_s } if !(deadline_s.is_finite() && *deadline_s > 0.0) => {
                 return Err(SpecError::invalid(
@@ -627,111 +566,73 @@ impl ArmSpec {
             _ => {}
         }
         if let Some(patch) = &self.scenario {
-            patch.validate(&format!("{path}.scenario"))?;
+            patch.validate(&Path::Key(path, "scenario"))?;
         }
         Ok(())
     }
+}
 
-    pub(crate) fn to_json(&self) -> Json {
-        let mut members: Vec<(String, Json)> =
-            vec![("kind".to_string(), Json::Str(self.kind.name().to_string()))];
+/// A tagged union on `kind`: each scheme allows exactly its own payload keys next to
+/// `kind`, `label` and `scenario`.
+impl Field for ArmSpec {
+    fn encode(&self, _brief: bool) -> Json {
+        let mut members = vec![("kind".to_string(), Json::Str(self.kind.name().to_string()))];
+        let mut push = |key: &str, value: Json| members.push((key.to_string(), value));
         match &self.kind {
-            ArmKind::Proposed { weights } => {
-                members.push(("w1".to_string(), Json::Num(weights.energy())));
-                members.push(("w2".to_string(), Json::Num(weights.time())));
-            }
-            ArmKind::DeadlineProposed { deadline } => {
-                let value = match deadline {
-                    DeadlineSpec::Axis => Json::Str("axis".to_string()),
-                    DeadlineSpec::FixedS(t) => Json::Num(*t),
-                };
-                members.push(("deadline".to_string(), value));
-            }
-            ArmKind::Benchmark { draw } => {
-                members.push(("draw".to_string(), Json::Str(draw.name().to_string())));
-            }
-            ArmKind::Scheme1 { deadline_s } => {
-                members.push(("deadline_s".to_string(), Json::Num(*deadline_s)));
-            }
+            ArmKind::Proposed { weights } => write_weights(&mut push, weights),
+            ArmKind::DeadlineProposed { deadline } => push("deadline", deadline.to_json()),
+            ArmKind::Benchmark { draw } => push("draw", draw.to_json()),
+            ArmKind::Scheme1 { deadline_s } => push("deadline_s", deadline_s.to_json()),
             ArmKind::CommOnly | ArmKind::CompOnly => {}
         }
         if let Some(label) = &self.label {
-            members.push(("label".to_string(), Json::Str(label.clone())));
+            push("label", label.to_json());
         }
         if let Some(patch) = &self.scenario {
-            members.push(("scenario".to_string(), patch.to_json()));
+            push("scenario", patch.to_json());
         }
         Json::Obj(members)
     }
 
-    pub(crate) fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        // Strictness is per kind: each scheme allows exactly its own payload keys, so the
-        // discriminator is peeked first and the full key check runs per variant.
-        let kind_name = Obj::any(v, path)?.str("kind")?.to_string();
-        fn with<'x>(extra: &[&'x str]) -> Vec<&'x str> {
-            let mut allowed = vec!["kind", "label", "scenario"];
-            allowed.extend_from_slice(extra);
-            allowed
-        }
-        let (kind, obj) = match kind_name.as_str() {
-            "proposed" => {
-                let obj = Obj::new(v, path, &with(&["w1", "w2"]))?;
-                let (w1, w2) = (obj.f64("w1")?, obj.f64("w2")?);
-                let weights = Weights::new(w1, w2).map_err(|e| {
-                    SpecError::invalid(path.to_string(), format!("invalid weights: {e}"))
-                })?;
-                (ArmKind::Proposed { weights }, obj)
-            }
+    fn from_json(v: &Json, path: &Path<'_>) -> Result<Self, ReadError> {
+        let mut obj = Obj::new(v, path)?;
+        // Every payload key is asked for before any payload error returns, so an unknown
+        // key reports first.
+        let kind = match obj.req::<String>("kind")?.as_str() {
+            "proposed" => read_weights(&mut obj, path).map(|weights| ArmKind::Proposed { weights }),
             "deadline_proposed" => {
-                let obj = Obj::new(v, path, &with(&["deadline"]))?;
-                let deadline = match obj.req("deadline")? {
-                    Json::Str(s) if s == "axis" => DeadlineSpec::Axis,
-                    Json::Num(t) => DeadlineSpec::FixedS(*t),
-                    _ => {
-                        return Err(SpecError::invalid(
-                            obj.path_of("deadline"),
-                            "must be \"axis\" or a number of seconds",
-                        ))
-                    }
-                };
-                (ArmKind::DeadlineProposed { deadline }, obj)
+                obj.req("deadline").map(|deadline| ArmKind::DeadlineProposed { deadline })
             }
-            "benchmark" => {
-                let obj = Obj::new(v, path, &with(&["draw"]))?;
-                let draw = match obj.str("draw")? {
-                    "frequency" => BenchmarkDraw::Frequency,
-                    "power" => BenchmarkDraw::Power,
-                    other => {
-                        return Err(SpecError::invalid(
-                            obj.path_of("draw"),
-                            format!("unknown benchmark draw {other:?}"),
-                        ))
-                    }
-                };
-                (ArmKind::Benchmark { draw }, obj)
-            }
-            "comm_only" => (ArmKind::CommOnly, Obj::new(v, path, &with(&[]))?),
-            "comp_only" => (ArmKind::CompOnly, Obj::new(v, path, &with(&[]))?),
-            "scheme1" => {
-                let obj = Obj::new(v, path, &with(&["deadline_s"]))?;
-                (ArmKind::Scheme1 { deadline_s: obj.f64("deadline_s")? }, obj)
-            }
+            "benchmark" => obj.req("draw").map(|draw| ArmKind::Benchmark { draw }),
+            "comm_only" => Ok(ArmKind::CommOnly),
+            "comp_only" => Ok(ArmKind::CompOnly),
+            "scheme1" => obj.req("deadline_s").map(|deadline_s| ArmKind::Scheme1 { deadline_s }),
             other => {
-                return Err(SpecError::invalid(
-                    format!("{path}.kind"),
+                return Err(ReadError::new(
+                    &Path::Key(path, "kind"),
                     format!("unknown arm kind {other:?}"),
                 ))
             }
         };
-        let label = obj.opt_str("label")?.map(str::to_string);
-        let scenario = match obj.get("scenario") {
-            Some(patch) => Some(ScenarioSpec::from_json(patch, &obj.path_of("scenario"))?),
-            None => None,
-        };
-        let spec = Self { kind, label, scenario };
+        let (label, scenario) = (obj.opt("label"), obj.opt("scenario"));
+        obj.end()?;
+        let spec = Self { kind: kind?, label: label?, scenario: scenario? };
         spec.validate(path)?;
         Ok(spec)
     }
+}
+
+/// Writes the `w1`/`w2` members of a weighted arm or round policy.
+fn write_weights(push: &mut impl FnMut(&str, Json), weights: &Weights) {
+    push("w1", Json::Num(weights.energy()));
+    push("w2", Json::Num(weights.time()));
+}
+
+/// Reads the `w1`/`w2` pair of a weighted arm or round policy. Both keys are asked for
+/// before either error returns.
+fn read_weights(obj: &mut Obj<'_>, path: &Path<'_>) -> Result<Weights, ReadError> {
+    let (w1, w2) = (obj.req("w1"), obj.req("w2"));
+    Weights::new(w1?, w2?).map_err(|e| ReadError::new(path, format!("invalid weights: {e}")))
 }
 
 // ---------------------------------------------------------------------------
@@ -803,7 +704,7 @@ impl SeedSpec {
         }
     }
 
-    fn validate(&self, path: &str) -> Result<(), SpecError> {
+    fn validate(&self, path: &Path<'_>) -> Result<(), SpecError> {
         match &self.policy {
             SeedPolicy::Range { start, count } => {
                 if *count == 0 {
@@ -821,7 +722,7 @@ impl SeedSpec {
                 }
                 if start.checked_add(*count).map_or(true, |end| end > MAX_EXACT_INT) {
                     return Err(SpecError::invalid(
-                        path,
+                        path.to_string(),
                         "seed range must stay within the exact JSON integer range (2^53)",
                     ));
                 }
@@ -850,61 +751,49 @@ impl SeedSpec {
         }
         Ok(())
     }
+}
 
-    fn to_json(&self) -> Json {
-        let mut members: Vec<(String, Json)> = Vec::new();
-        match &self.policy {
+/// Either `list`, or `count` with an optional `start`, plus the stream derivation.
+impl Field for SeedSpec {
+    fn encode(&self, _brief: bool) -> Json {
+        let mut members = match &self.policy {
             SeedPolicy::Range { start, count } => {
-                members.push(("start".to_string(), Json::uint(*start)));
-                members.push(("count".to_string(), Json::uint(*count)));
+                vec![("start", start.to_json()), ("count", count.to_json())]
             }
-            SeedPolicy::List(seeds) => {
-                members.push((
-                    "list".to_string(),
-                    Json::Arr(seeds.iter().map(|&s| Json::uint(s)).collect()),
-                ));
-            }
-        }
-        members.push((
-            "stream_derivation".to_string(),
-            Json::Str(self.stream_derivation.name().to_string()),
-        ));
-        Json::Obj(members)
+            SeedPolicy::List(seeds) => vec![("list", seeds.to_json())],
+        };
+        members.push(("stream_derivation", self.stream_derivation.to_json()));
+        Json::obj(members)
     }
 
-    fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let obj = Obj::new(v, path, &["start", "count", "list", "stream_derivation"])?;
-        let policy = match (obj.get("list"), obj.get("count")) {
-            (Some(_), None) => SeedPolicy::List(obj.u64_array("list")?),
-            (None, Some(_)) => SeedPolicy::Range {
-                start: obj.opt_u64("start")?.unwrap_or(0),
-                count: obj.u64("count")?,
-            },
+    fn from_json(v: &Json, path: &Path<'_>) -> Result<Self, ReadError> {
+        let mut obj = Obj::new(v, path)?;
+        let (start, count, list) = (obj.opt("start"), obj.opt("count"), obj.opt("list"));
+        let stream_derivation = obj.req("stream_derivation");
+        obj.end()?;
+        let policy = match (list?, count?) {
+            (Some(_), None) if !matches!(start, Ok(None)) => {
+                return Err(ReadError::new(
+                    &Path::Key(path, "start"),
+                    "`start` only applies to range seed policies",
+                ))
+            }
+            (Some(list), None) => SeedPolicy::List(list),
+            (None, Some(count)) => SeedPolicy::Range { start: start?.unwrap_or(0), count },
             _ => {
-                return Err(SpecError::invalid(
+                return Err(ReadError::new(
                     path,
                     "seeds need exactly one of `list` or `count` (+ optional `start`)",
                 ))
             }
         };
-        if matches!(policy, SeedPolicy::List(_)) && obj.get("start").is_some() {
-            return Err(SpecError::invalid(
-                obj.path_of("start"),
-                "`start` only applies to range seed policies",
-            ));
-        }
-        let derivation_name = obj.str("stream_derivation")?;
-        let stream_derivation = StreamDerivation::from_name(derivation_name).ok_or_else(|| {
-            SpecError::invalid(
-                obj.path_of("stream_derivation"),
-                format!("unknown stream derivation {derivation_name:?}"),
-            )
-        })?;
-        let spec = Self { policy, stream_derivation };
+        let spec = Self { policy, stream_derivation: stream_derivation? };
         spec.validate(path)?;
         Ok(spec)
     }
 }
+
+json_name!(StreamDerivation, "stream derivation");
 
 // ---------------------------------------------------------------------------
 // Solver
@@ -935,6 +824,8 @@ impl SolverPreset {
         }
     }
 }
+
+json_name!(SolverPreset, "solver preset", [Default, Fast]);
 
 /// Serializable solver settings: a preset plus optional tolerance overrides.
 ///
@@ -971,35 +862,24 @@ impl SolverSpec {
 
     /// Resolves the preset and overrides into a concrete [`SolverConfig`].
     pub fn resolve(&self) -> SolverConfig {
-        let mut config = self.preset.base();
-        if let Some(v) = self.outer_max_iter {
-            config.outer_max_iter = v;
+        fn set<T>(slot: &mut T, value: Option<T>) {
+            if let Some(v) = value {
+                *slot = v;
+            }
         }
-        if let Some(v) = self.outer_tol {
-            config.outer_tol = v;
-        }
-        if let Some(v) = self.mu_tol {
-            config.mu_tol = v;
-        }
-        if let Some(v) = self.scalar_tol {
-            config.scalar_tol = v;
-        }
-        if let Some(v) = self.feasibility_tol {
-            config.feasibility_tol = v;
-        }
-        if let Some(v) = self.bandwidth_floor_hz {
-            config.bandwidth_floor_hz = v;
-        }
-        if let Some(v) = self.polish_with_reference {
-            config.polish_with_reference = v;
-        }
-        if let Some(v) = self.warm_rmin_tol {
-            config.warm_rmin_tol = v;
-        }
-        config
+        let mut c = self.preset.base();
+        set(&mut c.outer_max_iter, self.outer_max_iter);
+        set(&mut c.outer_tol, self.outer_tol);
+        set(&mut c.mu_tol, self.mu_tol);
+        set(&mut c.scalar_tol, self.scalar_tol);
+        set(&mut c.feasibility_tol, self.feasibility_tol);
+        set(&mut c.bandwidth_floor_hz, self.bandwidth_floor_hz);
+        set(&mut c.polish_with_reference, self.polish_with_reference);
+        set(&mut c.warm_rmin_tol, self.warm_rmin_tol);
+        c
     }
 
-    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
+    pub(crate) fn validate(&self, path: &Path<'_>) -> Result<(), SpecError> {
         for (name, value) in [
             ("outer_tol", self.outer_tol),
             ("mu_tol", self.mu_tol),
@@ -1022,67 +902,19 @@ impl SolverSpec {
         }
         Ok(())
     }
-
-    pub(crate) fn to_json(&self) -> Json {
-        let mut members: Vec<(String, Json)> =
-            vec![("preset".to_string(), Json::Str(self.preset.name().to_string()))];
-        let mut push = |key: &str, value: Option<Json>| {
-            if let Some(v) = value {
-                members.push((key.to_string(), v));
-            }
-        };
-        push("outer_max_iter", self.outer_max_iter.map(|v| Json::uint(v as u64)));
-        push("outer_tol", self.outer_tol.map(Json::Num));
-        push("mu_tol", self.mu_tol.map(Json::Num));
-        push("scalar_tol", self.scalar_tol.map(Json::Num));
-        push("feasibility_tol", self.feasibility_tol.map(Json::Num));
-        push("bandwidth_floor_hz", self.bandwidth_floor_hz.map(Json::Num));
-        push("polish_with_reference", self.polish_with_reference.map(Json::Bool));
-        push("warm_rmin_tol", self.warm_rmin_tol.map(Json::Num));
-        Json::Obj(members)
-    }
-
-    pub(crate) fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let obj = Obj::new(
-            v,
-            path,
-            &[
-                "preset",
-                "outer_max_iter",
-                "outer_tol",
-                "mu_tol",
-                "scalar_tol",
-                "feasibility_tol",
-                "bandwidth_floor_hz",
-                "polish_with_reference",
-                "warm_rmin_tol",
-            ],
-        )?;
-        let preset = match obj.str("preset")? {
-            "default" => SolverPreset::Default,
-            "fast" => SolverPreset::Fast,
-            other => {
-                return Err(SpecError::invalid(
-                    obj.path_of("preset"),
-                    format!("unknown solver preset {other:?}"),
-                ))
-            }
-        };
-        let spec = Self {
-            preset,
-            outer_max_iter: obj.opt_usize("outer_max_iter")?,
-            outer_tol: obj.opt_f64("outer_tol")?,
-            mu_tol: obj.opt_f64("mu_tol")?,
-            scalar_tol: obj.opt_f64("scalar_tol")?,
-            feasibility_tol: obj.opt_f64("feasibility_tol")?,
-            bandwidth_floor_hz: obj.opt_f64("bandwidth_floor_hz")?,
-            polish_with_reference: obj.opt_bool("polish_with_reference")?,
-            warm_rmin_tol: obj.opt_f64("warm_rmin_tol")?,
-        };
-        spec.validate(path)?;
-        Ok(spec)
-    }
 }
+
+json_record! { #[validate] SolverSpec {
+    "preset" => preset,
+    "outer_max_iter" => outer_max_iter: opt,
+    "outer_tol" => outer_tol: opt,
+    "mu_tol" => mu_tol: opt,
+    "scalar_tol" => scalar_tol: opt,
+    "feasibility_tol" => feasibility_tol: opt,
+    "bandwidth_floor_hz" => bandwidth_floor_hz: opt,
+    "polish_with_reference" => polish_with_reference: opt,
+    "warm_rmin_tol" => warm_rmin_tol: opt,
+}}
 
 // ---------------------------------------------------------------------------
 // Engine
@@ -1134,7 +966,7 @@ impl EngineSpec {
         engine
     }
 
-    fn validate(&self, path: &str) -> Result<(), SpecError> {
+    fn validate(&self, path: &Path<'_>) -> Result<(), SpecError> {
         if self.threads == Some(0) {
             return Err(SpecError::invalid(format!("{path}.threads"), "must be at least 1"));
         }
@@ -1149,39 +981,15 @@ impl EngineSpec {
         }
         Ok(())
     }
-
-    fn to_json(&self) -> Json {
-        let mut members: Vec<(String, Json)> = Vec::new();
-        let mut push = |key: &str, value: Option<Json>| {
-            if let Some(v) = value {
-                members.push((key.to_string(), v));
-            }
-        };
-        push("threads", self.threads.map(|v| Json::uint(v as u64)));
-        push("warm_start", self.warm_start.map(Json::Bool));
-        push("seed_chunk", self.seed_chunk.map(|v| Json::uint(v as u64)));
-        push("shard_retries", self.shard_retries.map(Json::uint));
-        push("shard_timeout_s", self.shard_timeout_s.map(Json::uint));
-        Json::Obj(members)
-    }
-
-    fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let obj = Obj::new(
-            v,
-            path,
-            &["threads", "warm_start", "seed_chunk", "shard_retries", "shard_timeout_s"],
-        )?;
-        let spec = Self {
-            threads: obj.opt_usize("threads")?,
-            warm_start: obj.opt_bool("warm_start")?,
-            seed_chunk: obj.opt_usize("seed_chunk")?,
-            shard_retries: obj.opt_u64("shard_retries")?,
-            shard_timeout_s: obj.opt_u64("shard_timeout_s")?,
-        };
-        spec.validate(path)?;
-        Ok(spec)
-    }
 }
+
+json_record! { #[validate] EngineSpec {
+    "threads" => threads: opt,
+    "warm_start" => warm_start: opt,
+    "seed_chunk" => seed_chunk: opt,
+    "shard_retries" => shard_retries: opt,
+    "shard_timeout_s" => shard_timeout_s: opt,
+}}
 
 // ---------------------------------------------------------------------------
 // Reports
@@ -1204,6 +1012,8 @@ impl Metric {
         }
     }
 }
+
+json_name!(Metric, "metric", [Energy, Time]);
 
 /// One figure (or sub-figure) rendered from the evaluated grid.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -1231,36 +1041,14 @@ impl ReportSpec {
             Metric::Time => result.time_report(&self.id, &self.title, &self.x_label),
         }
     }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("id", Json::Str(self.id.clone())),
-            ("metric", Json::Str(self.metric.name().to_string())),
-            ("title", Json::Str(self.title.clone())),
-            ("x_label", Json::Str(self.x_label.clone())),
-        ])
-    }
-
-    fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let obj = Obj::new(v, path, &["id", "metric", "title", "x_label"])?;
-        let metric = match obj.str("metric")? {
-            "energy" => Metric::Energy,
-            "time" => Metric::Time,
-            other => {
-                return Err(SpecError::invalid(
-                    obj.path_of("metric"),
-                    format!("unknown metric {other:?}"),
-                ))
-            }
-        };
-        Ok(Self {
-            id: obj.str("id")?.to_string(),
-            metric,
-            title: obj.str("title")?.to_string(),
-            x_label: obj.str("x_label")?.to_string(),
-        })
-    }
 }
+
+json_record! { ReportSpec {
+    "id" => id,
+    "metric" => metric,
+    "title" => title,
+    "x_label" => x_label,
+}}
 
 // ---------------------------------------------------------------------------
 // Round simulation
@@ -1347,7 +1135,7 @@ impl RoundPolicySpec {
         self.label.as_deref().unwrap_or(self.policy.name())
     }
 
-    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
+    pub(crate) fn validate(&self, path: &Path<'_>) -> Result<(), SpecError> {
         match &self.policy {
             RoundPolicy::ReSolve { .. } | RoundPolicy::Static { .. } => {}
             RoundPolicy::FedAecs { epsilon, mu, t_max_s } => {
@@ -1376,78 +1164,58 @@ impl RoundPolicySpec {
         }
         Ok(())
     }
+}
 
-    pub(crate) fn to_json(&self) -> Json {
-        let mut members: Vec<(String, Json)> =
-            vec![("kind".to_string(), Json::Str(self.policy.name().to_string()))];
+/// A tagged union on `kind`, like [`ArmSpec`]: each policy allows its own payload keys
+/// next to `kind` and `label`.
+impl Field for RoundPolicySpec {
+    fn encode(&self, _brief: bool) -> Json {
+        let mut members = vec![("kind".to_string(), Json::Str(self.policy.name().to_string()))];
+        let mut push = |key: &str, value: Json| members.push((key.to_string(), value));
         match &self.policy {
             RoundPolicy::ReSolve { weights } | RoundPolicy::Static { weights } => {
-                members.push(("w1".to_string(), Json::Num(weights.energy())));
-                members.push(("w2".to_string(), Json::Num(weights.time())));
+                write_weights(&mut push, weights);
             }
             RoundPolicy::FedAecs { epsilon, mu, t_max_s } => {
-                members.push(("epsilon".to_string(), Json::Num(*epsilon)));
-                members.push(("mu".to_string(), Json::Num(*mu)));
+                push("epsilon", epsilon.to_json());
+                push("mu", mu.to_json());
                 if let Some(t) = t_max_s {
-                    members.push(("t_max_s".to_string(), Json::Num(*t)));
+                    push("t_max_s", t.to_json());
                 }
             }
-            RoundPolicy::Elastic { alpha } => {
-                members.push(("alpha".to_string(), Json::Num(*alpha)));
-            }
+            RoundPolicy::Elastic { alpha } => push("alpha", alpha.to_json()),
         }
         if let Some(label) = &self.label {
-            members.push(("label".to_string(), Json::Str(label.clone())));
+            push("label", label.to_json());
         }
         Json::Obj(members)
     }
 
-    pub(crate) fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        // Same per-kind strictness as `ArmSpec::from_json`: peek the discriminator, then
-        // check the full key set against exactly that kind's payload.
-        let kind_name = Obj::any(v, path)?.str("kind")?.to_string();
-        fn with<'x>(extra: &[&'x str]) -> Vec<&'x str> {
-            let mut allowed = vec!["kind", "label"];
-            allowed.extend_from_slice(extra);
-            allowed
-        }
-        let weights_of = |obj: &Obj<'_>| -> Result<Weights, SpecError> {
-            let (w1, w2) = (obj.f64("w1")?, obj.f64("w2")?);
-            Weights::new(w1, w2)
-                .map_err(|e| SpecError::invalid(path.to_string(), format!("invalid weights: {e}")))
-        };
-        let (policy, obj) = match kind_name.as_str() {
+    fn from_json(v: &Json, path: &Path<'_>) -> Result<Self, ReadError> {
+        let mut obj = Obj::new(v, path)?;
+        let policy = match obj.req::<String>("kind")?.as_str() {
             "re_solve" => {
-                let obj = Obj::new(v, path, &with(&["w1", "w2"]))?;
-                (RoundPolicy::ReSolve { weights: weights_of(&obj)? }, obj)
+                read_weights(&mut obj, path).map(|weights| RoundPolicy::ReSolve { weights })
             }
-            "static" => {
-                let obj = Obj::new(v, path, &with(&["w1", "w2"]))?;
-                (RoundPolicy::Static { weights: weights_of(&obj)? }, obj)
-            }
+            "static" => read_weights(&mut obj, path).map(|weights| RoundPolicy::Static { weights }),
             "fedaecs" => {
-                let obj = Obj::new(v, path, &with(&["epsilon", "mu", "t_max_s"]))?;
-                (
-                    RoundPolicy::FedAecs {
-                        epsilon: obj.f64("epsilon")?,
-                        mu: obj.f64("mu")?,
-                        t_max_s: obj.opt_f64("t_max_s")?,
-                    },
-                    obj,
-                )
+                let (epsilon, mu, t_max_s) =
+                    (obj.req("epsilon"), obj.req("mu"), obj.opt("t_max_s"));
+                epsilon.and_then(|epsilon| {
+                    Ok(RoundPolicy::FedAecs { epsilon, mu: mu?, t_max_s: t_max_s? })
+                })
             }
-            "elastic" => {
-                let obj = Obj::new(v, path, &with(&["alpha"]))?;
-                (RoundPolicy::Elastic { alpha: obj.f64("alpha")? }, obj)
-            }
+            "elastic" => obj.req("alpha").map(|alpha| RoundPolicy::Elastic { alpha }),
             other => {
-                return Err(SpecError::invalid(
-                    format!("{path}.kind"),
+                return Err(ReadError::new(
+                    &Path::Key(path, "kind"),
                     format!("unknown round policy kind {other:?}"),
                 ))
             }
         };
-        let spec = Self { policy, label: obj.opt_str("label")?.map(str::to_string) };
+        let label = obj.opt("label");
+        obj.end()?;
+        let spec = Self { policy: policy?, label: label? };
         spec.validate(path)?;
         Ok(spec)
     }
@@ -1471,7 +1239,7 @@ impl Default for StragglerSpec {
 }
 
 impl StragglerSpec {
-    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
+    pub(crate) fn validate(&self, path: &Path<'_>) -> Result<(), SpecError> {
         for (name, v) in [("dropout", self.dropout), ("slow", self.slow)] {
             if !(v.is_finite() && (0.0..1.0).contains(&v)) {
                 return Err(SpecError::invalid(
@@ -1488,27 +1256,13 @@ impl StragglerSpec {
         }
         Ok(())
     }
-
-    pub(crate) fn to_json(self) -> Json {
-        Json::obj([
-            ("dropout", Json::Num(self.dropout)),
-            ("slow", Json::Num(self.slow)),
-            ("slow_factor", Json::Num(self.slow_factor)),
-        ])
-    }
-
-    pub(crate) fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let obj = Obj::new(v, path, &["dropout", "slow", "slow_factor"])?;
-        let default = Self::default();
-        let spec = Self {
-            dropout: obj.opt_f64("dropout")?.unwrap_or(default.dropout),
-            slow: obj.opt_f64("slow")?.unwrap_or(default.slow),
-            slow_factor: obj.opt_f64("slow_factor")?.unwrap_or(default.slow_factor),
-        };
-        spec.validate(path)?;
-        Ok(spec)
-    }
 }
+
+json_record! { #[validate] StragglerSpec {
+    "dropout" => dropout: or(Self::default().dropout),
+    "slow" => slow: or(Self::default().slow),
+    "slow_factor" => slow_factor: or(Self::default().slow_factor),
+}}
 
 /// The synthetic training task the round simulator learns on (see
 /// [`fedsim::SyntheticConfig`]).
@@ -1527,7 +1281,7 @@ impl Default for SimTrainingSpec {
 }
 
 impl SimTrainingSpec {
-    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
+    pub(crate) fn validate(&self, path: &Path<'_>) -> Result<(), SpecError> {
         if self.samples_per_device == 0 {
             return Err(SpecError::invalid(
                 format!("{path}.samples_per_device"),
@@ -1548,27 +1302,12 @@ impl SimTrainingSpec {
         }
         Ok(())
     }
-
-    pub(crate) fn to_json(self) -> Json {
-        Json::obj([
-            ("samples_per_device", Json::uint(self.samples_per_device)),
-            ("learning_rate", Json::Num(self.learning_rate)),
-        ])
-    }
-
-    pub(crate) fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let obj = Obj::new(v, path, &["samples_per_device", "learning_rate"])?;
-        let default = Self::default();
-        let spec = Self {
-            samples_per_device: obj
-                .opt_u64("samples_per_device")?
-                .unwrap_or(default.samples_per_device),
-            learning_rate: obj.opt_f64("learning_rate")?.unwrap_or(default.learning_rate),
-        };
-        spec.validate(path)?;
-        Ok(spec)
-    }
 }
+
+json_record! { #[validate] SimTrainingSpec {
+    "samples_per_device" => samples_per_device: or(Self::default().samples_per_device),
+    "learning_rate" => learning_rate: or(Self::default().learning_rate),
+}}
 
 /// Identity of the rendered round-trajectory report.
 #[derive(Debug, Clone, PartialEq)]
@@ -1580,24 +1319,18 @@ pub struct RoundsReportSpec {
 }
 
 impl RoundsReportSpec {
-    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
+    pub(crate) fn validate(&self, path: &Path<'_>) -> Result<(), SpecError> {
         if self.id.is_empty() {
             return Err(SpecError::invalid(format!("{path}.id"), "must not be empty"));
         }
         Ok(())
     }
-
-    pub(crate) fn to_json(&self) -> Json {
-        Json::obj([("id", Json::Str(self.id.clone())), ("title", Json::Str(self.title.clone()))])
-    }
-
-    pub(crate) fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let obj = Obj::new(v, path, &["id", "title"])?;
-        let spec = Self { id: obj.str("id")?.to_string(), title: obj.str("title")?.to_string() };
-        spec.validate(path)?;
-        Ok(spec)
-    }
 }
+
+json_record! { #[validate] RoundsReportSpec {
+    "id" => id,
+    "title" => title,
+}}
 
 /// The optional round-simulation section of a spec, run by `fedopt sim` (the
 /// `experiments::rounds` subsystem). When present, the spec's axis must hold exactly one
@@ -1624,7 +1357,7 @@ pub struct RoundsSpec {
 }
 
 impl RoundsSpec {
-    pub(crate) fn validate(&self, path: &str) -> Result<(), SpecError> {
+    pub(crate) fn validate(&self, path: &Path<'_>) -> Result<(), SpecError> {
         if self.rounds == 0 {
             return Err(SpecError::invalid(format!("{path}.rounds"), "must be at least 1"));
         }
@@ -1651,82 +1384,28 @@ impl RoundsSpec {
                 ),
             ));
         }
-        self.straggler.validate(&format!("{path}.straggler"))?;
-        self.training.validate(&format!("{path}.training"))?;
+        self.straggler.validate(&Path::Key(path, "straggler"))?;
+        self.training.validate(&Path::Key(path, "training"))?;
         if self.policies.is_empty() {
             return Err(SpecError::invalid(format!("{path}.policies"), "must not be empty"));
         }
         for (i, policy) in self.policies.iter().enumerate() {
-            policy.validate(&format!("{path}.policies[{i}]"))?;
+            policy.validate(&Path::Index(&Path::Key(path, "policies"), i))?;
         }
-        self.report.validate(&format!("{path}.report"))?;
+        self.report.validate(&Path::Key(path, "report"))?;
         Ok(())
     }
-
-    pub(crate) fn to_json(&self) -> Json {
-        Json::obj([
-            ("rounds", Json::uint(u64::from(self.rounds))),
-            ("refade_db", Json::Num(self.refade_db)),
-            ("channel_stream", Json::Str(self.channel_stream.name().to_string())),
-            ("straggler", self.straggler.to_json()),
-            ("training", self.training.to_json()),
-            ("policies", Json::Arr(self.policies.iter().map(RoundPolicySpec::to_json).collect())),
-            ("report", self.report.to_json()),
-        ])
-    }
-
-    pub(crate) fn from_json(v: &Json, path: &str) -> Result<Self, SpecError> {
-        let obj = Obj::new(
-            v,
-            path,
-            &[
-                "rounds",
-                "refade_db",
-                "channel_stream",
-                "straggler",
-                "training",
-                "policies",
-                "report",
-            ],
-        )?;
-        let channel_stream = match obj.opt_str("channel_stream")? {
-            None => StreamDerivation::RoundChannelFnv,
-            Some(name) => StreamDerivation::from_name(name).ok_or_else(|| {
-                SpecError::invalid(
-                    obj.path_of("channel_stream"),
-                    format!("unknown stream derivation {name:?}"),
-                )
-            })?,
-        };
-        let straggler = match obj.get("straggler") {
-            Some(s) => StragglerSpec::from_json(s, &obj.path_of("straggler"))?,
-            None => StragglerSpec::default(),
-        };
-        let training = match obj.get("training") {
-            Some(t) => SimTrainingSpec::from_json(t, &obj.path_of("training"))?,
-            None => SimTrainingSpec::default(),
-        };
-        let policies = obj
-            .array("policies")?
-            .iter()
-            .enumerate()
-            .map(|(i, p)| RoundPolicySpec::from_json(p, &format!("{path}.policies[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let spec = Self {
-            rounds: obj.u64("rounds")?.try_into().map_err(|_| {
-                SpecError::invalid(obj.path_of("rounds"), "must fit in a 32-bit round count")
-            })?,
-            refade_db: obj.opt_f64("refade_db")?.unwrap_or(0.0),
-            channel_stream,
-            straggler,
-            training,
-            policies,
-            report: RoundsReportSpec::from_json(obj.req("report")?, &obj.path_of("report"))?,
-        };
-        spec.validate(path)?;
-        Ok(spec)
-    }
 }
+
+json_record! { #[validate] RoundsSpec {
+    "rounds" => rounds,
+    "refade_db" => refade_db: or(0.0),
+    "channel_stream" => channel_stream: or(StreamDerivation::RoundChannelFnv),
+    "straggler" => straggler: or(StragglerSpec::default()),
+    "training" => training: or(SimTrainingSpec::default()),
+    "policies" => policies,
+    "report" => report,
+}}
 
 // ---------------------------------------------------------------------------
 // The spec
@@ -1811,12 +1490,13 @@ impl ExperimentSpec {
         if self.axis.values.is_empty() {
             return Err(SpecError::invalid("axis.values", "must not be empty"));
         }
+        let values = Path::Key(&Path::Root("axis"), "values");
         for (i, &x) in self.axis.values.iter().enumerate() {
-            self.axis.kind.check(x, &format!("axis.values[{i}]"))?;
+            self.axis.kind.check(x, &Path::Index(&values, i))?;
         }
-        self.scenario.validate("scenario")?;
+        self.scenario.validate(&Path::Root("scenario"))?;
         if let Some(rounds) = &self.rounds {
-            rounds.validate("rounds")?;
+            rounds.validate(&Path::Root("rounds"))?;
             if self.axis.values.len() != 1 {
                 return Err(SpecError::invalid(
                     "axis.values",
@@ -1832,7 +1512,7 @@ impl ExperimentSpec {
             return Err(SpecError::invalid("arms", "must not be empty"));
         }
         for (i, arm) in self.arms.iter().enumerate() {
-            arm.validate(&format!("arms[{i}]"))?;
+            arm.validate(&Path::Index(&Path::Root("arms"), i))?;
             if arm.kind.reads_axis_deadline() && self.axis.kind != AxisKind::DeadlineS {
                 return Err(SpecError::invalid(
                     format!("arms[{i}]"),
@@ -1845,9 +1525,9 @@ impl ExperimentSpec {
                 ));
             }
         }
-        self.seeds.validate("seeds")?;
-        self.solver.validate("solver")?;
-        self.engine.validate("engine")?;
+        self.seeds.validate(&Path::Root("seeds"))?;
+        self.solver.validate(&Path::Root("solver"))?;
+        self.engine.validate(&Path::Root("engine"))?;
         Ok(())
     }
 
@@ -1903,26 +1583,7 @@ impl ExperimentSpec {
 
     /// The spec as a JSON value (deterministic member order).
     pub fn to_json(&self) -> Json {
-        let mut members: Vec<(String, Json)> = vec![
-            ("schema_version".to_string(), Json::uint(self.schema_version)),
-            ("id".to_string(), Json::Str(self.id.clone())),
-            ("description".to_string(), Json::Str(self.description.clone())),
-            ("axis".to_string(), self.axis.to_json()),
-            ("scenario".to_string(), self.scenario.to_json()),
-            ("arms".to_string(), Json::Arr(self.arms.iter().map(ArmSpec::to_json).collect())),
-            ("seeds".to_string(), self.seeds.to_json()),
-            ("solver".to_string(), self.solver.to_json()),
-            ("engine".to_string(), self.engine.to_json()),
-            (
-                "reports".to_string(),
-                Json::Arr(self.reports.iter().map(ReportSpec::to_json).collect()),
-            ),
-        ];
-        // Appended last and omitted when unset, so sweep-only specs keep their bytes.
-        if let Some(rounds) = &self.rounds {
-            members.push(("rounds".to_string(), rounds.to_json()));
-        }
-        Json::Obj(members)
+        Field::to_json(self)
     }
 
     /// The canonical serialized form (pretty-printed, trailing newline) — byte-stable for
@@ -1938,58 +1599,7 @@ impl ExperimentSpec {
     /// [`SpecError::Invalid`] on schema-version mismatch, unknown keys, wrong types, or
     /// failed validation.
     pub fn from_json(v: &Json) -> Result<Self, SpecError> {
-        let obj = Obj::new(
-            v,
-            "spec",
-            &[
-                "schema_version",
-                "id",
-                "description",
-                "axis",
-                "scenario",
-                "arms",
-                "seeds",
-                "solver",
-                "engine",
-                "reports",
-                "rounds",
-            ],
-        )?;
-        let version = obj.u64("schema_version")?;
-        if version != SCHEMA_VERSION {
-            return Err(SpecError::invalid(
-                "spec.schema_version",
-                format!("this build reads schema version {SCHEMA_VERSION}, got {version}"),
-            ));
-        }
-        let arms = obj
-            .array("arms")?
-            .iter()
-            .enumerate()
-            .map(|(i, arm)| ArmSpec::from_json(arm, &format!("spec.arms[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let reports = obj
-            .array("reports")?
-            .iter()
-            .enumerate()
-            .map(|(i, r)| ReportSpec::from_json(r, &format!("spec.reports[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let spec = Self {
-            schema_version: version,
-            id: obj.str("id")?.to_string(),
-            description: obj.str("description")?.to_string(),
-            axis: AxisSpec::from_json(obj.req("axis")?, "spec.axis")?,
-            scenario: ScenarioSpec::from_json(obj.req("scenario")?, "spec.scenario")?,
-            arms,
-            seeds: SeedSpec::from_json(obj.req("seeds")?, "spec.seeds")?,
-            solver: SolverSpec::from_json(obj.req("solver")?, "spec.solver")?,
-            engine: EngineSpec::from_json(obj.req("engine")?, "spec.engine")?,
-            reports,
-            rounds: match obj.get("rounds") {
-                Some(r) => Some(RoundsSpec::from_json(r, "spec.rounds")?),
-                None => None,
-            },
-        };
+        let spec = <Self as Field>::from_json(v, &Path::Root("spec"))?;
         spec.validate()?;
         Ok(spec)
     }
@@ -2004,6 +1614,21 @@ impl ExperimentSpec {
     }
 }
 
+// `rounds` is last and omitted when unset, so sweep-only specs keep their bytes.
+json_record! { ExperimentSpec {
+    "schema_version" => schema_version: version(SCHEMA_VERSION),
+    "id" => id,
+    "description" => description,
+    "axis" => axis,
+    "scenario" => scenario,
+    "arms" => arms,
+    "seeds" => seeds,
+    "solver" => solver,
+    "engine" => engine,
+    "reports" => reports,
+    "rounds" => rounds: opt,
+}}
+
 impl SweepEngine {
     /// Compiles and evaluates a spec on this engine: `spec → SweepGrid → SweepResult`.
     /// The spec's own [`EngineSpec`] is **not** consulted (this engine's settings win);
@@ -2016,188 +1641,6 @@ impl SweepEngine {
     pub fn run_spec(&self, spec: &ExperimentSpec) -> Result<SweepResult, SpecError> {
         let grid = spec.grid()?;
         self.run(&grid).map_err(SpecError::Sweep)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Strict object reader
-// ---------------------------------------------------------------------------
-
-/// Strict object accessor: type checks, required/optional getters, unknown-key rejection,
-/// and dotted error paths.
-pub(crate) struct Obj<'a> {
-    path: &'a str,
-    members: &'a [(String, Json)],
-}
-
-impl<'a> Obj<'a> {
-    /// An object whose keys must all be in `allowed`.
-    pub(crate) fn new(v: &'a Json, path: &'a str, allowed: &[&str]) -> Result<Self, SpecError> {
-        let obj = Self::any(v, path)?;
-        obj.check_keys(allowed)?;
-        Ok(obj)
-    }
-
-    /// An object with no key restrictions (used to peek at a discriminator first).
-    pub(crate) fn any(v: &'a Json, path: &'a str) -> Result<Self, SpecError> {
-        match v.as_object() {
-            Some(members) => Ok(Self { path, members }),
-            None => Err(SpecError::invalid(path, "expected a JSON object")),
-        }
-    }
-
-    pub(crate) fn check_keys(&self, allowed: &[&str]) -> Result<(), SpecError> {
-        for (key, _) in self.members {
-            if !allowed.contains(&key.as_str()) {
-                return Err(SpecError::invalid(
-                    self.path_of(key),
-                    format!("unknown key (allowed: {})", allowed.join(", ")),
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn path_of(&self, key: &str) -> String {
-        format!("{}.{key}", self.path)
-    }
-
-    pub(crate) fn get(&self, key: &str) -> Option<&'a Json> {
-        self.members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    pub(crate) fn req(&self, key: &str) -> Result<&'a Json, SpecError> {
-        self.get(key).ok_or_else(|| SpecError::invalid(self.path_of(key), "missing required key"))
-    }
-
-    pub(crate) fn str(&self, key: &str) -> Result<&'a str, SpecError> {
-        self.req(key)?
-            .as_str()
-            .ok_or_else(|| SpecError::invalid(self.path_of(key), "expected a string"))
-    }
-
-    pub(crate) fn opt_str(&self, key: &str) -> Result<Option<&'a str>, SpecError> {
-        self.get(key)
-            .map(|v| {
-                v.as_str().ok_or_else(|| SpecError::invalid(self.path_of(key), "expected a string"))
-            })
-            .transpose()
-    }
-
-    pub(crate) fn f64(&self, key: &str) -> Result<f64, SpecError> {
-        self.req(key)?
-            .as_f64()
-            .ok_or_else(|| SpecError::invalid(self.path_of(key), "expected a number"))
-    }
-
-    pub(crate) fn opt_f64(&self, key: &str) -> Result<Option<f64>, SpecError> {
-        self.get(key)
-            .map(|v| {
-                v.as_f64().ok_or_else(|| SpecError::invalid(self.path_of(key), "expected a number"))
-            })
-            .transpose()
-    }
-
-    pub(crate) fn u64(&self, key: &str) -> Result<u64, SpecError> {
-        self.req(key)?.as_u64().ok_or_else(|| {
-            SpecError::invalid(self.path_of(key), "expected a non-negative integer (≤ 2^53)")
-        })
-    }
-
-    pub(crate) fn opt_u64(&self, key: &str) -> Result<Option<u64>, SpecError> {
-        self.get(key)
-            .map(|v| {
-                v.as_u64().ok_or_else(|| {
-                    SpecError::invalid(
-                        self.path_of(key),
-                        "expected a non-negative integer (≤ 2^53)",
-                    )
-                })
-            })
-            .transpose()
-    }
-
-    pub(crate) fn opt_u32(&self, key: &str) -> Result<Option<u32>, SpecError> {
-        self.opt_u64(key)?
-            .map(|v| {
-                u32::try_from(v).map_err(|_| {
-                    SpecError::invalid(self.path_of(key), "expected a 32-bit unsigned integer")
-                })
-            })
-            .transpose()
-    }
-
-    pub(crate) fn opt_usize(&self, key: &str) -> Result<Option<usize>, SpecError> {
-        self.opt_u64(key)?
-            .map(|v| {
-                usize::try_from(v).map_err(|_| {
-                    SpecError::invalid(self.path_of(key), "does not fit this platform's usize")
-                })
-            })
-            .transpose()
-    }
-
-    pub(crate) fn opt_bool(&self, key: &str) -> Result<Option<bool>, SpecError> {
-        self.get(key)
-            .map(|v| {
-                v.as_bool()
-                    .ok_or_else(|| SpecError::invalid(self.path_of(key), "expected a boolean"))
-            })
-            .transpose()
-    }
-
-    pub(crate) fn array(&self, key: &str) -> Result<&'a [Json], SpecError> {
-        self.req(key)?
-            .as_array()
-            .ok_or_else(|| SpecError::invalid(self.path_of(key), "expected an array"))
-    }
-
-    pub(crate) fn f64_array(&self, key: &str) -> Result<Vec<f64>, SpecError> {
-        self.array(key)?
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                v.as_f64().ok_or_else(|| {
-                    SpecError::invalid(format!("{}[{i}]", self.path_of(key)), "expected a number")
-                })
-            })
-            .collect()
-    }
-
-    pub(crate) fn u64_array(&self, key: &str) -> Result<Vec<u64>, SpecError> {
-        self.array(key)?
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                v.as_u64().ok_or_else(|| {
-                    SpecError::invalid(
-                        format!("{}[{i}]", self.path_of(key)),
-                        "expected a non-negative integer (≤ 2^53)",
-                    )
-                })
-            })
-            .collect()
-    }
-
-    pub(crate) fn opt_f64_pair(&self, key: &str) -> Result<Option<(f64, f64)>, SpecError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => {
-                let items = v.as_array().ok_or_else(|| {
-                    SpecError::invalid(self.path_of(key), "expected a two-number array")
-                })?;
-                match items {
-                    [a, b] => match (a.as_f64(), b.as_f64()) {
-                        (Some(lo), Some(hi)) => Ok(Some((lo, hi))),
-                        _ => Err(SpecError::invalid(
-                            self.path_of(key),
-                            "expected a two-number array",
-                        )),
-                    },
-                    _ => Err(SpecError::invalid(self.path_of(key), "expected exactly two numbers")),
-                }
-            }
-        }
     }
 }
 
@@ -2327,7 +1770,7 @@ mod tests {
             shard_retries: Some(3),
             shard_timeout_s: Some(120),
         };
-        let parsed = EngineSpec::from_json(&spec.to_json(), "engine").unwrap();
+        let parsed = EngineSpec::from_json(&spec.to_json(), &Path::Root("engine")).unwrap();
         assert_eq!(parsed, spec);
         let engine = spec.to_engine();
         assert_eq!(engine.threads(), 2);
@@ -2340,14 +1783,14 @@ mod tests {
     fn engine_spec_fleet_fields_are_validated_strictly() {
         // `shard_retries: 0` is legal (retries disabled)…
         let spec = EngineSpec { shard_retries: Some(0), ..EngineSpec::default() };
-        assert_eq!(EngineSpec::from_json(&spec.to_json(), "engine").unwrap(), spec);
+        assert_eq!(EngineSpec::from_json(&spec.to_json(), &Path::Root("engine")).unwrap(), spec);
         // …but a zero timeout can never complete a shard.
         let bad = EngineSpec { shard_timeout_s: Some(0), ..EngineSpec::default() };
-        let err = EngineSpec::from_json(&bad.to_json(), "engine").unwrap_err();
+        let err = EngineSpec::from_json(&bad.to_json(), &Path::Root("engine")).unwrap_err();
         assert!(err.to_string().contains("shard_timeout_s"), "{err}");
         // Unknown keys stay rejected (strict parse).
         let doc = Json::obj([("shard_retrys", Json::uint(1))]);
-        assert!(EngineSpec::from_json(&doc, "engine").is_err());
+        assert!(EngineSpec::from_json(&doc, &Path::Root("engine")).is_err());
     }
 
     #[test]
